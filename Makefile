@@ -72,9 +72,11 @@ race:
 		./internal/telemetry/... ./internal/membership/... ./cmd/tracecat/...
 
 ## fuzz: short-budget fuzzing of the byte-boundary decoders — the
-## checkpoint snapshot reader, the telemetry JSONL trace reader, and the
-## tracecat line parser — plus the conv-kernel equivalence target, which
-## asserts the im2col/GEMM forward+backward stays bitwise identical to the
+## checkpoint snapshot reader, the telemetry JSONL trace reader, the
+## tracecat line parser, and the TCP transport's frame decoder (with an
+## encode/decode round trip that must be bit-identical, NaN payloads,
+## signed zeros and empty vectors included) — plus the conv-kernel
+## equivalence target, which asserts the im2col/GEMM forward+backward stays bitwise identical to the
 ## retained naive reference on fuzzer-chosen shapes and data, and the
 ## robust-aggregation targets, which assert median/trimmed-mean reject
 ## (never propagate) non-finite reporter values on fuzzer-chosen cohorts,
@@ -90,6 +92,8 @@ fuzz:
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz 'FuzzReadTrace$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz FuzzReadTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./cmd/tracecat/ -run '^$$' -fuzz FuzzParseLine -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzConvGEMMEquivalence -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzMedianAggregate -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/robust/ -run '^$$' -fuzz FuzzTrimmedMean -fuzztime $(FUZZTIME)

@@ -295,6 +295,7 @@ func TestDefaultPolicyTable(t *testing.T) {
 		"(*hieradmo/internal/nn.Conv2D).Backward",
 		"(*hieradmo/internal/nn.convReLU).Forward",
 		"(*hieradmo/internal/nn.convReLU).Backward",
+		"(*hieradmo/internal/transport.frameWriter).encode",
 	}
 	if fmt.Sprint(pol.HotFuncs) != fmt.Sprint(wantHot) {
 		t.Errorf("HotFuncs = %v, want %v", pol.HotFuncs, wantHot)

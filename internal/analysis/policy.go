@@ -84,9 +84,10 @@ func only(paths ...string) func(string) bool {
 //   - allocfree runs everywhere; what it checks is pinned by the root
 //     table below — the per-round worker steps and edge/tier update math
 //     in internal/core and internal/cluster, the GEMM/conv kernels in
-//     internal/tensor and internal/nn, and every robust.Aggregator
-//     implementation. The kernel packages carry no exemptions
-//     (enforcement pinned in TestDefaultPolicyTable);
+//     internal/tensor and internal/nn, the TCP frame encoder in
+//     internal/transport, and every robust.Aggregator implementation.
+//     The kernel packages carry no exemptions (enforcement pinned in
+//     TestDefaultPolicyTable);
 //   - wirealloc runs on the packages that decode wire or snapshot bytes;
 //   - nilsink runs on internal/telemetry, over the instrument and sink
 //     types whose nil fast path the hot loops rely on.
@@ -134,6 +135,9 @@ func DefaultPolicy(modulePath string) Policy {
 			"(*" + in("internal/nn") + ".Conv2D).Backward",
 			"(*" + in("internal/nn") + ".convReLU).Forward",
 			"(*" + in("internal/nn") + ".convReLU).Backward",
+			// The TCP frame encoder runs once per message sent; its
+			// per-connection buffer grows once and is then reused.
+			"(*" + in("internal/transport") + ".frameWriter).encode",
 		},
 		HotIfaces: []string{
 			// Every robust aggregation rule runs once per round per tier on

@@ -1,10 +1,9 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,7 +13,7 @@ import (
 )
 
 // Send-side retry policy for transient TCP failures (peer restarted, broken
-// pipe, encoder poisoned by a partial write): the first attempt plus
+// pipe, frame boundary lost to a partial write): the first attempt plus
 // sendRetries redials with capped exponential backoff.
 const (
 	sendRetries     = 3
@@ -23,10 +22,11 @@ const (
 )
 
 // TCPNetwork runs the transport over real loopback (or LAN) sockets: every
-// node listens on its own address, messages are gob-encoded frames, and
-// outbound connections are cached per destination. Node addresses are
-// registered on Listen, so all endpoints must be created before the
-// protocol starts — which matches how the cluster coordinator works.
+// node listens on its own address, messages travel as length-prefixed,
+// CRC-checked binary frames (frame.go), and outbound connections are
+// cached per destination. Node addresses are registered on Listen, so all
+// endpoints must be created before the protocol starts — which matches how
+// the cluster coordinator works.
 type TCPNetwork struct {
 	mu     sync.Mutex
 	addrs  map[string]string
@@ -114,7 +114,7 @@ func (n *TCPNetwork) lookup(id string) (string, error) {
 type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder
+	w    frameWriter // guarded by mu
 }
 
 type tcpEndpoint struct {
@@ -173,15 +173,13 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		delete(e.accepted, conn)
 		e.connMu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
+	fr := frameReader{r: bufio.NewReader(conn)}
 	for {
-		var msg Message
-		if err := dec.Decode(&msg); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Connection-level failures surface to the receiver as
-				// silence (and hence RecvTimeout), mirroring real deployments.
-				return
-			}
+		msg, err := fr.next()
+		if err != nil {
+			// A closed stream, a socket error or a bad frame (ErrBadFrame)
+			// ends only this connection; the receiver sees silence and
+			// hence RecvTimeout, mirroring real deployments.
 			return
 		}
 		select {
@@ -222,7 +220,7 @@ func (e *tcpEndpoint) connTo(to string) (*tcpConn, error) {
 		case <-time.After(250 * time.Millisecond):
 		}
 	}
-	c = &tcpConn{conn: raw, enc: gob.NewEncoder(raw)}
+	c = &tcpConn{conn: raw}
 	e.connMu.Lock()
 	if existing, dup := e.conns[to]; dup {
 		raw.Close()
@@ -236,7 +234,7 @@ func (e *tcpEndpoint) connTo(to string) (*tcpConn, error) {
 
 // dropConn evicts a connection after a send failure (comparing pointers so a
 // concurrent sender's replacement is never evicted) so the next attempt
-// redials with a fresh encoder — a gob encoder is poisoned by any error.
+// redials: a failed or partial write leaves the peer mid-frame.
 func (e *tcpEndpoint) dropConn(to string, c *tcpConn) {
 	e.connMu.Lock()
 	if e.conns[to] == c {
@@ -247,9 +245,10 @@ func (e *tcpEndpoint) dropConn(to string, c *tcpConn) {
 }
 
 func (e *tcpEndpoint) Send(to string, msg Message) error {
-	m := msg.Clone()
-	m.From = e.id
-	m.To = to
+	// encode copies every float into the frame before Send returns, so
+	// the caller keeps ownership of msg's vectors.
+	msg.From = e.id
+	msg.To = to
 
 	backoff := sendBackoffBase
 	var lastErr error
@@ -282,8 +281,14 @@ func (e *tcpEndpoint) Send(to string, msg Message) error {
 			continue
 		}
 		c.mu.Lock()
-		err = c.enc.Encode(m)
+		frame, encErr := c.w.encode(&msg)
+		if encErr == nil {
+			_, err = c.conn.Write(frame)
+		}
 		c.mu.Unlock()
+		if encErr != nil {
+			return fmt.Errorf("transport: send to %q: %w", to, encErr) // permanent: no connection can carry it
+		}
 		if err == nil {
 			return nil
 		}

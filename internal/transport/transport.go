@@ -1,8 +1,9 @@
 // Package transport provides the message-passing substrate for the
 // distributed execution of HierAdMo (internal/cluster): a Message format
 // carrying model-sized vectors between named nodes, an in-memory network
-// with failure injection for tests, and a TCP network (net + encoding/gob)
-// for running the protocol over real sockets.
+// with failure injection for tests, and a TCP network for running the
+// protocol over real sockets, whose messages travel as bounded, checksummed
+// binary frames (frame.go).
 //
 // The in-process simulation in internal/fl is the reference semantics; the
 // cluster runtime built on this package must produce bit-identical results
@@ -33,6 +34,12 @@ var (
 	// late-joining nodes must either use a fresh ID or wait for the old
 	// endpoint to close.
 	ErrDuplicateNode = errors.New("transport: node already registered")
+	// ErrBadFrame marks a TCP frame that cannot be encoded (over the frame
+	// bounds) or decoded (truncated, over a bound, bad CRC, unknown
+	// version, trailing bytes). A receiver drops the connection that sent
+	// it, so the node sees silence and then a RecvTimeout; a sender gets
+	// it back at once, since no retry can frame the message.
+	ErrBadFrame = errors.New("transport: bad frame")
 )
 
 // Network is the transport factory a protocol runs over; MemoryNetwork,
