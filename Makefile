@@ -103,11 +103,15 @@ fuzz:
 ## recover: the crash-recovery integration suite — checkpoint format and
 ## corruption handling, bit-identical simulation resume, cluster
 ## interrupt/restart/rejoin, and the process-level SIGKILL/SIGTERM tests.
+## The cluster step first checks with -list that all three named tests
+## exist: go test -run exits 0 when its pattern matches nothing.
+RECOVER_CLUSTER = ^TestCluster(InterruptResume|CrashRestartMatchesParticipation|WorkerRestartRejoins)$$
 recover:
 	$(GO) test -count=1 ./internal/checkpoint/... || exit 1
 	$(GO) test -count=1 ./internal/core/... ./internal/baseline/... -run 'Resume' || exit 1
-	$(GO) test -count=1 ./internal/cluster/... \
-		-run 'TestCluster(InterruptResume|CrashRestartMatchesParticipation|WorkerRestartRejoins)' || exit 1
+	@n=$$($(GO) test -list '$(RECOVER_CLUSTER)' ./internal/cluster/ | grep -c '^TestCluster'); \
+		if [ "$$n" -ne 3 ]; then echo "recover: found $$n of the 3 cluster recovery tests"; exit 1; fi
+	$(GO) test -count=1 ./internal/cluster/ -run '$(RECOVER_CLUSTER)' || exit 1
 	$(GO) test -count=1 ./cmd/flnode/ -run 'TestMultiProcessKillRestart' || exit 1
 	$(GO) test -count=1 ./cmd/flcluster/ -run 'TestSigterm|TestDoubleSignal'
 

@@ -1,6 +1,6 @@
 // Command flcluster runs HierAdMo as an actual distributed protocol: one
-// node per worker, edge, and cloud, exchanging models and momenta over an
-// in-memory hub or real TCP sockets. The distributed run is bit-identical
+// node per worker, edge, and cloud of the aggregation tree, exchanging
+// models and momenta over an in-memory hub or real TCP sockets. The distributed run is bit-identical
 // to the in-process simulation (same batch streams, same aggregation
 // order), which the command verifies when -verify is set.
 //
@@ -43,7 +43,8 @@
 // reports at the worker boundary (sign-flip, scaling, seeded noise, stale
 // replay) and -aggregator swaps the tier aggregation rule for a robust one
 // (median, trimmed mean, norm-clipping, cosine-outlier filter), per tier
-// if desired. The run prints an attack report with injected and rejected
+// if desired: "edge=" sets the rule of the tree's leaf-parent level and
+// "cloud=" that of its root. The run prints an attack report with injected and rejected
 // counts; both knobs are pure functions of the flags, so Byzantine runs
 // replay bit-identically:
 //
@@ -51,10 +52,12 @@
 //	flcluster -attack-plan "noise:worker-1-0@2-6=0.5" \
 //	    -aggregator edge=trimmed,cloud=mean -trim 0.2
 //
-// N-tier topologies: -topology replaces the built-in cloud/edge/worker
-// triple with an arbitrary aggregation tree — depth, fan-out, per-level
-// sync periods τℓ, and per-level aggregation rules all come from the spec;
-// the training leaves regroup the workload's worker shards in order:
+// N-tier topologies: the run always executes on an aggregation tree; the
+// default is the paper's cloud/edge/worker tree, and -topology replaces it
+// with any other — depth, fan-out, per-level sync periods τℓ, and per-level
+// aggregation rules all come from the spec (an agg= that conflicts with
+// -aggregator is a usage error); the training leaves regroup the workload's
+// worker shards in order:
 //
 //	flcluster -model logistic \
 //	    -topology "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker"
@@ -146,12 +149,12 @@ func run(args []string, interrupt <-chan struct{}) error {
 
 		attackSpec = fs.String("attack-plan", "", `Byzantine attack spec like "signflip:worker-0-1@1,noise:worker-1-0@2-6=0.5" (kinds: signflip|scale|noise|replay)`)
 		attackSeed = fs.Uint64("attack-seed", 1, "seed for the deterministic noise-attack draws")
-		aggregator = fs.String("aggregator", "mean", `aggregation rule (mean|median|trimmed|clip|cosine), or per tier like "edge=median,cloud=mean"`)
+		aggregator = fs.String("aggregator", "mean", `aggregation rule (mean|median|trimmed|clip|cosine), or per tier like "edge=median,cloud=mean" (edge = the tree's leaf-parent level, cloud = its root)`)
 		trim       = fs.Float64("trim", 0.2, "per-tail trim fraction for -aggregator trimmed, in [0, 0.5)")
 		clipNorm   = fs.Float64("clip", 10, "max L2 deviation norm for -aggregator clip")
 		cosMin     = fs.Float64("cos-min", 0, "minimum cosine against the cohort's median deviation for -aggregator cosine, in [-1, 1]")
 
-		topologySpec = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker" (empty = the built-in cloud/edge/worker triple; the tree's leaf count must equal the workload's workers)`)
+		topologySpec = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/region*2:tau=10,agg=median/edge*2:tau=5/worker" (empty = the default cloud/edge/worker tree; the tree's leaf count must equal the workload's workers)`)
 
 		churnSpec   = fs.String("churn-plan", "", `churn trace file, or inline spec like "join:worker-0-1@3,leave:worker-1-0@9"`)
 		retierEvery = fs.Int("retier-every", 0, "re-tier workers across edges every this many cloud syncs (0 disables)")
@@ -207,7 +210,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 			return err
 		}
 		if *verify {
-			return fmt.Errorf("-verify only covers the built-in 3-tier runtime: the in-process simulation has no N-tier tree to compare against")
+			return fmt.Errorf("-verify only covers the default 3-tier tree: the in-process simulation has no N-tier tree to compare against")
 		}
 	}
 
@@ -265,6 +268,17 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if topo != nil {
 		fmt.Printf("topology: %s (depth %d, %d leaves)\n", topo, topo.Depth(), topo.NumLeaves())
 	}
+	// -aggregator sets the rules of the spec's leaf-parent and root levels
+	// (the edges and the cloud of the default tree).
+	if edgeAgg.Robust() || cloudAgg.Robust() {
+		base := topo
+		if base == nil {
+			base = cluster.DefaultTopology(cfg)
+		}
+		if topo, err = base.WithRules(edgeAgg, cloudAgg); err != nil {
+			return fmt.Errorf("-aggregator: %w", err)
+		}
+	}
 	res, err := cluster.Run(cfg, net, cluster.Options{
 		Adaptive:          !*reduced,
 		MinQuorum:         *minQuorum,
@@ -277,8 +291,6 @@ func run(args []string, interrupt <-chan struct{}) error {
 		RetierEvery:       *retierEvery,
 		Migration:         migrate,
 		AttackPlan:        attackPlan,
-		EdgeAggregator:    edgeAgg,
-		CloudAggregator:   cloudAgg,
 		Topology:          topo,
 	})
 	if err != nil {

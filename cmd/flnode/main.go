@@ -1,5 +1,5 @@
-// Command flnode runs ONE node of a multi-process HierAdMo deployment: a
-// cloud, an edge, or a worker, addressed through a shared JSON registry
+// Command flnode runs ONE node of a multi-process HierAdMo deployment: one
+// node of the aggregation tree, addressed through a shared JSON registry
 // mapping node IDs to host:port. Every process regenerates the identical
 // synthetic workload deterministically from the shared seed, so no training
 // data crosses the wire — only models, momenta, and interval accumulators,
@@ -43,15 +43,19 @@
 // workers corrupt their own outgoing reports, edges and the cloud apply
 // the selected robust rule to whatever arrives.
 //
-// N-tier topologies: give every node the same -topology spec and launch one
-// "tier" role process per tree node, addressed by -level/-index; registry
-// keys are the spec's node IDs (name-index). Level 0 prints the result,
-// level depth-1 trains a leaf shard:
+// Every process runs a node of the same aggregation tree. The cloud, edge,
+// and worker roles are aliases that address the default cloud/edge/worker
+// tree by -edge/-index. For any other tree, give every node the same
+// -topology spec and launch one "tier" role process per tree node,
+// addressed by -level/-index within the level; registry keys are the spec's
+// node IDs (the root's level name, "name-index" for aggregators,
+// "name-parent-position" for leaves). Level 0 prints the result, level
+// depth-1 trains a leaf shard:
 //
 //	flnode -role tier -level 0 -index 0 -registry reg.json \
-//	    -topology "cloud:tau=20/edge*2:tau=10/worker*2"     # the root
+//	    -topology "cloud:tau=20/edge*2:tau=10/worker*2"     # the root, "cloud"
 //	flnode -role tier -level 2 -index 3 -registry reg.json \
-//	    -topology "cloud:tau=20/edge*2:tau=10/worker*2"     # leaf worker-3
+//	    -topology "cloud:tau=20/edge*2:tau=10/worker*2"     # leaf worker-1-1
 package main
 
 import (
@@ -65,7 +69,6 @@ import (
 
 	"hieradmo/internal/cluster"
 	"hieradmo/internal/experiment"
-	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
@@ -113,10 +116,10 @@ func installInterrupt(name string) <-chan struct{} {
 func run(args []string, interrupt <-chan struct{}) error {
 	fs := flag.NewFlagSet("flnode", flag.ContinueOnError)
 	var (
-		role          = fs.String("role", "", `node role: "cloud", "edge", "worker", or "tier" (-topology deployments)`)
+		role          = fs.String("role", "", `node role: "cloud", "edge", "worker" (nodes of the default tree), or "tier" (any node, by -level/-index)`)
 		edgeIdx       = fs.Int("edge", 0, "edge index ℓ (edge and worker roles)")
 		workerIdx     = fs.Int("index", 0, "worker index i within the edge (worker role), or node index within the level (tier role)")
-		topologySpec  = fs.String("topology", "", `N-tier aggregation tree spec like "cloud:tau=20/edge*2:tau=10/worker*2" (tier role; must match across all nodes)`)
+		topologySpec  = fs.String("topology", "", `aggregation tree spec like "cloud:tau=20/edge*2:tau=10/worker*2" (tier role; empty = the default cloud/edge/worker tree; must match across all nodes)`)
 		levelIdx      = fs.Int("level", 0, "tree level of this node, 0 = root (tier role)")
 		registryPath  = fs.String("registry", "", "path to the JSON node-ID → host:port registry")
 		datasetName   = fs.String("dataset", "mnist", "dataset: mnist|cifar10|imagenet|har")
@@ -138,7 +141,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 
 		attackSpec = fs.String("attack-plan", "", `Byzantine attack spec like "signflip:worker-0-1@1" (kinds: signflip|scale|noise|replay; must match across all nodes)`)
 		attackSeed = fs.Uint64("attack-seed", 1, "seed for the deterministic noise-attack draws (must match across all nodes)")
-		aggregator = fs.String("aggregator", "mean", `aggregation rule (mean|median|trimmed|clip|cosine), or per tier like "edge=median,cloud=mean" (must match across all nodes)`)
+		aggregator = fs.String("aggregator", "mean", `aggregation rule (mean|median|trimmed|clip|cosine), or per tier like "edge=median,cloud=mean" (edge = the tree's leaf-parent level, cloud = its root; must match across all nodes)`)
 		trim       = fs.Float64("trim", 0.2, "per-tail trim fraction for -aggregator trimmed, in [0, 0.5) (must match across all nodes)")
 		clipNorm   = fs.Float64("clip", 10, "max L2 deviation norm for -aggregator clip (must match across all nodes)")
 		cosMin     = fs.Float64("cos-min", 0, "minimum cosine against the cohort's median deviation for -aggregator cosine, in [-1, 1] (must match across all nodes)")
@@ -236,85 +239,59 @@ func run(args []string, interrupt <-chan struct{}) error {
 		RetierEvery:       *retierEvery,
 		Migration:         migrate,
 		AttackPlan:        attackPlan,
-		EdgeAggregator:    edgeAgg,
-		CloudAggregator:   cloudAgg,
 	}
 
-	// listen opens this node's endpoint and mirrors its send retries onto
-	// the sink (the multi-process counterpart of TCPNetwork.SetTelemetry).
-	listen := func(id string) (transport.Endpoint, error) {
-		ep, err := transport.ListenStatic(id, registry)
-		if err != nil {
-			return nil, err
-		}
-		if ts, ok := ep.(transport.TelemetrySetter); ok {
-			ts.SetTelemetry(sink)
-		}
-		return ep, nil
-	}
-
+	// Every role runs one node of the aggregation tree: -topology's, or the
+	// default cloud/edge/worker tree, which the cloud/edge/worker roles
+	// address by name. -aggregator sets the rules of the tree's leaf-parent
+	// and root levels.
+	topo := cluster.DefaultTopology(cfg)
 	if *topologySpec != "" {
 		if *role != "tier" {
 			return fmt.Errorf("-topology deployments use -role tier (got %q)", *role)
 		}
-		topo, err := topology.Parse(*topologySpec)
-		if err != nil {
+		if topo, err = topology.Parse(*topologySpec); err != nil {
 			return err
 		}
 		opts.Topology = topo
-		if *levelIdx < 0 || *levelIdx >= topo.Depth() || *workerIdx < 0 || *workerIdx >= topo.Width(*levelIdx) {
-			return fmt.Errorf("no node at level %d index %d in topology %q", *levelIdx, *workerIdx, topo)
-		}
-		ep, err := listen(topo.NodeID(*levelIdx, *workerIdx))
-		if err != nil {
-			return err
-		}
-		defer ep.Close()
-		res, err := cluster.RunTreeNode(cfg, *levelIdx, *workerIdx, ep, opts)
-		if err != nil {
-			return err
-		}
-		if res != nil {
-			fmt.Println(res)
-			if res.AttackReport != nil {
-				fmt.Println(res.AttackReport)
-			}
-		}
-		return nil
 	}
-
+	if edgeAgg.Robust() || cloudAgg.Robust() {
+		if topo, err = topo.WithRules(edgeAgg, cloudAgg); err != nil {
+			return fmt.Errorf("-aggregator: %w", err)
+		}
+		opts.Topology = topo
+	}
+	level, index := *levelIdx, *workerIdx
 	switch *role {
-	case "cloud":
-		return runCloud(cfg, listen, opts)
-	case "edge":
-		ep, err := listen(cluster.EdgeID(*edgeIdx))
-		if err != nil {
-			return err
-		}
-		defer ep.Close()
-		return cluster.RunEdgeNode(cfg, *edgeIdx, ep, opts)
-	case "worker":
-		ep, err := listen(cluster.WorkerID(*edgeIdx, *workerIdx))
-		if err != nil {
-			return err
-		}
-		defer ep.Close()
-		return cluster.RunWorkerNode(cfg, *edgeIdx, *workerIdx, ep, opts)
 	case "tier":
-		return fmt.Errorf("-role tier requires -topology")
+	case "cloud", "edge", "worker":
+		id := cluster.CloudID
+		if *role == "edge" {
+			id = cluster.EdgeID(*edgeIdx)
+		} else if *role == "worker" {
+			id = cluster.WorkerID(*edgeIdx, *workerIdx)
+		}
+		if level, index, err = topo.ParseNodeID(id); err != nil {
+			return fmt.Errorf("-role %s: %w", *role, err)
+		}
 	default:
 		return fmt.Errorf("unknown role %q (want cloud, edge, worker, or tier)", *role)
 	}
-}
-
-func runCloud(cfg *fl.Config, listen func(string) (transport.Endpoint, error), opts cluster.Options) error {
-	ep, err := listen(cluster.CloudID)
+	if level < 0 || level >= topo.Depth() || index < 0 || index >= topo.Width(level) {
+		return fmt.Errorf("no node at level %d index %d in topology %q", level, index, topo)
+	}
+	ep, err := transport.ListenStatic(topo.NodeID(level, index), registry)
 	if err != nil {
 		return err
 	}
 	defer ep.Close()
-	res, err := cluster.RunCloudNode(cfg, ep, opts)
-	if err != nil {
+	// Mirror this node's send retries onto the sink (the multi-process
+	// counterpart of TCPNetwork.SetTelemetry).
+	if ts, ok := ep.(transport.TelemetrySetter); ok {
+		ts.SetTelemetry(sink)
+	}
+	res, err := cluster.RunTreeNode(cfg, level, index, ep, opts)
+	if err != nil || res == nil {
 		return err
 	}
 	fmt.Println(res)

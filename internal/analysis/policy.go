@@ -124,8 +124,7 @@ func DefaultPolicy(modulePath string) Policy {
 			// steady-state inner loops (slab arenas, PR 7).
 			"(*" + in("internal/core") + ".workerState).step",
 			"(*" + in("internal/core") + ".HierAdMo).edgeUpdate",
-			// The distributed runtime's equivalents.
-			"(*" + in("internal/cluster") + ".workerNode).step",
+			// The distributed runtime's equivalent.
 			"(*" + in("internal/cluster") + ".treeLeaf).step",
 			// The GEMM kernels every dense/conv layer reduces to.
 			in("internal/tensor") + ".GEMMBias",

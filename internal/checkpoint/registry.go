@@ -90,10 +90,23 @@ func (g *Registry) Save(seq int) error {
 	return g.mgr.Save(st)
 }
 
+// MismatchError is Restore's ErrMismatch failure. It carries both
+// fingerprints so a caller can tell which kind of run wrote the snapshot.
+type MismatchError struct {
+	Snapshot, Run string
+}
+
+func (e *MismatchError) Error() string {
+	return fmt.Sprintf("%v: snapshot %q vs run %q", ErrMismatch, e.Snapshot, e.Run)
+}
+
+// Unwrap makes a MismatchError match ErrMismatch under errors.Is.
+func (e *MismatchError) Unwrap() error { return ErrMismatch }
+
 // Restore loads the newest valid snapshot generation into the registered
 // bindings and returns its sequence number. With no snapshot present it
 // returns (0, false, nil): start from scratch. A snapshot carrying a
-// different fingerprint fails with a wrapped ErrMismatch — resuming it would
+// different fingerprint fails with a *MismatchError (matching ErrMismatch) — resuming it would
 // silently train a different configuration.
 func (g *Registry) Restore() (int, bool, error) {
 	st, err := g.mgr.Latest()
@@ -104,7 +117,7 @@ func (g *Registry) Restore() (int, bool, error) {
 		return 0, false, nil
 	}
 	if st.Fingerprint != g.fingerprint {
-		return 0, false, fmt.Errorf("%w: snapshot %q vs run %q", ErrMismatch, st.Fingerprint, g.fingerprint)
+		return 0, false, &MismatchError{Snapshot: st.Fingerprint, Run: g.fingerprint}
 	}
 	for name, v := range g.vectors {
 		sv, ok := st.Vectors[name]

@@ -11,6 +11,7 @@ import (
 	"hieradmo/internal/membership"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
+	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
@@ -22,6 +23,17 @@ func byzPlan(t *testing.T, spec string) *robust.AttackPlan {
 		t.Fatal(err)
 	}
 	return plan
+}
+
+// tierRules returns cfg's default tree with the given edge (leaf-parent) and
+// cloud (root) aggregation rules.
+func tierRules(t *testing.T, cfg *fl.Config, edge, cloud robust.Spec) *topology.Topology {
+	t.Helper()
+	topo, err := DefaultTopology(cfg).WithRules(edge, cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
 }
 
 func sameResult(t *testing.T, name string, res, ref *fl.Result) {
@@ -47,14 +59,14 @@ func sameResult(t *testing.T, name string, res, ref *fl.Result) {
 // leaving the run bit-identical to plain options.
 func TestClusterEmptyAttackPlanIsBaseline(t *testing.T) {
 	opts := Options{Adaptive: true, AttackPlan: &robust.AttackPlan{}}
-	if opts.robustEnabled() {
-		t.Fatal("empty plan with mean aggregators counts as robust-enabled")
+	if !opts.AttackPlan.Empty() {
+		t.Fatal("empty plan counts as an attack")
 	}
 	if opts.attackerFor(WorkerID(0, 0), 4, 8) != nil {
 		t.Fatal("empty plan built an attacker")
 	}
-	if a := newAggregator(opts.EdgeAggregator); a != nil {
-		t.Fatalf("mean spec built aggregator %v", a)
+	if a, err := newAggregator(robust.Spec{}); a != nil || err != nil {
+		t.Fatalf("mean spec built aggregator %v (%v)", a, err)
 	}
 
 	cfg := buildConfig(t, 31, 2)
@@ -179,17 +191,16 @@ func TestClusterAttackDeterministic(t *testing.T) {
 }
 
 // TestClusterAttackAcrossProcessEntryPoints replays a Byzantine scenario
-// through the per-role multi-process entry points (static TCP registry,
+// through the per-node multi-process entry point (static TCP registry,
 // every role its own config and harness) and checks bit-equality with the
 // single-process run — the attack RNG and aggregator state are pure
 // functions of the shared flags, never of process layout.
 func TestClusterAttackAcrossProcessEntryPoints(t *testing.T) {
 	cfg := buildConfig(t, 107, 2)
 	opts := Options{
-		Adaptive:        true,
-		AttackPlan:      byzPlan(t, "signflip:worker-0-1@2,noise:worker-1-0@3-5=0.5"),
-		EdgeAggregator:  robust.Spec{Kind: robust.Median},
-		CloudAggregator: robust.Spec{Kind: robust.Median},
+		Adaptive:   true,
+		AttackPlan: byzPlan(t, "signflip:worker-0-1@2,noise:worker-1-0@3-5=0.5"),
+		Topology:   tierRules(t, cfg, robust.Spec{Kind: robust.Median}, robust.Spec{Kind: robust.Median}),
 	}
 	ref, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
@@ -228,7 +239,8 @@ func TestClusterAttackAcrossProcessEntryPoints(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				defer ep.Close()
-				fail(RunWorkerNode(cfg, l, i, ep, opts))
+				_, err := RunTreeNode(cfg, 2, 2*l+i, ep, opts)
+				fail(err)
 			}()
 		}
 		l := l
@@ -240,7 +252,8 @@ func TestClusterAttackAcrossProcessEntryPoints(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer ep.Close()
-			fail(RunEdgeNode(cfg, l, ep, opts))
+			_, err := RunTreeNode(cfg, 1, l, ep, opts)
+			fail(err)
 		}()
 	}
 	cloudEP, err := transport.ListenStatic(CloudID, registry)
@@ -251,7 +264,7 @@ func TestClusterAttackAcrossProcessEntryPoints(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer cloudEP.Close()
-		res, err := RunCloudNode(cfg, cloudEP, opts)
+		res, err := RunTreeNode(cfg, 0, 0, cloudEP, opts)
 		fail(err)
 		result <- res
 	}()
@@ -269,9 +282,8 @@ func TestClusterAttackAcrossProcessEntryPoints(t *testing.T) {
 	if res.AttackReport == nil {
 		t.Fatal("robust multi-process run returned no attack report")
 	}
-	if res.AttackReport.EdgeAggregator != "median" || res.AttackReport.CloudAggregator != "median" {
-		t.Errorf("multi-process report names aggregators %q/%q, want median/median",
-			res.AttackReport.EdgeAggregator, res.AttackReport.CloudAggregator)
+	if aggs := res.AttackReport.TierAggregators; len(aggs) != 2 || aggs[1] != "median" || aggs[0] != "median" {
+		t.Errorf("multi-process report names aggregators %q, want median/median", aggs)
 	}
 }
 
@@ -289,12 +301,12 @@ func TestClusterAttackChurnInterplay(t *testing.T) {
 	}
 	opts := func() Options {
 		p := plan.Clone()
+		trimmed := robust.Spec{Kind: robust.Trimmed, Trim: 0.25}
 		return Options{
-			Adaptive:        true,
-			ChurnPlan:       &p,
-			AttackPlan:      byzPlan(t, "replay:worker-1-0@7-9"),
-			EdgeAggregator:  robust.Spec{Kind: robust.Trimmed, Trim: 0.25},
-			CloudAggregator: robust.Spec{Kind: robust.Trimmed, Trim: 0.25},
+			Adaptive:   true,
+			ChurnPlan:  &p,
+			AttackPlan: byzPlan(t, "replay:worker-1-0@7-9"),
+			Topology:   tierRules(t, cfg, trimmed, trimmed),
 		}
 	}
 	ref, err := Run(cfg, transport.NewMemoryNetwork(), opts())
@@ -332,11 +344,11 @@ func TestClusterRobustMetricsMatchReport(t *testing.T) {
 	cfg := buildConfig(t, 31, 2)
 	reg := telemetry.NewRegistry()
 	res, err := Run(cfg, transport.NewMemoryNetwork(), Options{
-		Adaptive:        true,
-		Telemetry:       telemetry.New(reg, nil),
-		AttackPlan:      byzPlan(t, "signflip:worker-0-1@1,scale:worker-1-0@1=25"),
-		EdgeAggregator:  robust.Spec{Kind: robust.Cosine, CosMin: 0},
-		CloudAggregator: robust.Spec{Kind: robust.Clip, Clip: 0.5},
+		Adaptive:   true,
+		Telemetry:  telemetry.New(reg, nil),
+		AttackPlan: byzPlan(t, "signflip:worker-0-1@1,scale:worker-1-0@1=25"),
+		Topology: tierRules(t, cfg, robust.Spec{Kind: robust.Cosine, CosMin: 0},
+			robust.Spec{Kind: robust.Clip, Clip: 0.5}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +360,7 @@ func TestClusterRobustMetricsMatchReport(t *testing.T) {
 	if rep.TotalInjected() == 0 {
 		t.Fatal("attack plan injected nothing")
 	}
-	if rep.TotalRejected()+rep.Clipped == 0 {
+	if rep.TotalRejected()+rep.TotalClipped() == 0 {
 		t.Fatal("robust aggregation neither rejected nor clipped anything under sustained attack")
 	}
 	counter := func(name string) int64 {
@@ -365,8 +377,8 @@ func TestClusterRobustMetricsMatchReport(t *testing.T) {
 	if got := counter("fl_robust_rejected_total"); got != int64(rep.TotalRejected()) {
 		t.Errorf("fl_robust_rejected_total = %d, report says %d", got, rep.TotalRejected())
 	}
-	if got := counter("fl_robust_clipped_total"); got != int64(rep.Clipped) {
-		t.Errorf("fl_robust_clipped_total = %d, report says %d", got, rep.Clipped)
+	if got := counter("fl_robust_clipped_total"); got != int64(rep.TotalClipped()) {
+		t.Errorf("fl_robust_clipped_total = %d, report says %d", got, rep.TotalClipped())
 	}
 }
 
@@ -379,10 +391,10 @@ func TestClusterRobustResumeFingerprint(t *testing.T) {
 	cfg := buildConfig(t, 71, 2)
 	dir := t.TempDir()
 	opts := Options{
-		Adaptive:       true,
-		CheckpointDir:  dir,
-		AttackPlan:     byzPlan(t, "replay:worker-0-1@3"),
-		EdgeAggregator: robust.Spec{Kind: robust.Median},
+		Adaptive:      true,
+		CheckpointDir: dir,
+		AttackPlan:    byzPlan(t, "replay:worker-0-1@3"),
+		Topology:      tierRules(t, cfg, robust.Spec{Kind: robust.Median}, robust.Spec{}),
 	}
 	ref, err := Run(cfg, transport.NewMemoryNetwork(), opts)
 	if err != nil {
@@ -404,7 +416,7 @@ func TestClusterRobustResumeFingerprint(t *testing.T) {
 		t.Error("resume under a different attack plan was accepted")
 	}
 	wrongAgg := resumed
-	wrongAgg.EdgeAggregator = robust.Spec{Kind: robust.Trimmed, Trim: 0.2}
+	wrongAgg.Topology = tierRules(t, cfg, robust.Spec{Kind: robust.Trimmed, Trim: 0.2}, robust.Spec{})
 	if _, err := Run(cfg, transport.NewMemoryNetwork(), wrongAgg); err == nil {
 		t.Error("resume under a different edge aggregator was accepted")
 	}

@@ -136,11 +136,11 @@ func TestClusterEmptyChurnPlanIsStatic(t *testing.T) {
 		t.Fatal("empty plan with retier-every=0 counts as churn-enabled")
 	}
 	cfg := buildConfig(t, 51, 2)
-	memb, err := newMembership(*cfg, opts)
+	ts, err := newTreeSpec(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memb != nil {
+	if ts.memb != nil {
 		t.Fatal("empty plan built membership state")
 	}
 	res, err := Run(cfg, transport.NewMemoryNetwork(), opts)
@@ -309,10 +309,11 @@ func TestClusterChurnMetricsMatchTrace(t *testing.T) {
 
 	// Migrations: one per (edge, epoch boundary) with a changed cohort,
 	// computed from the same schedule the nodes used.
-	memb, err := newMembership(*cfg, churnOptions(t))
+	ts, err := newTreeSpec(cfg, churnOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
+	memb := ts.memb
 	wantMigrations := 0
 	for k := 2; k <= memb.sched.K; k++ {
 		for l := 0; l < memb.sched.NumEdges; l++ {

@@ -54,12 +54,12 @@ func TestEdgeStragglerDeadlineUsesInjectedClock(t *testing.T) {
 		Clock:             clk,
 	}.withDefaults()
 	x0 := hn.InitParams()
-	e := newEdgeNode(cfg, hn, 0, x0, edgeEP, opts)
+	e := edgeTierNode(t, cfg, hn, x0, edgeEP, opts)
 	e.rec = newFaultRecorder(nil)
 
 	v := x0.Clone()
 	msg := transport.Message{
-		Kind:    KindEdgeReport,
+		Kind:    KindTierReport,
 		Round:   cfg.Tau,
 		Vectors: [][]float64{v, v.Clone(), v.Clone(), v.Clone()},
 		Scalars: map[string]float64{ScalarLoss: 1},
@@ -69,7 +69,7 @@ func TestEdgeStragglerDeadlineUsesInjectedClock(t *testing.T) {
 	}
 
 	start := time.Now()
-	reports, idx, adopted, err := e.collectReports(1)
+	adopted, reports, idx, err := e.collect(1)
 	if err != nil {
 		t.Fatal(err)
 	}

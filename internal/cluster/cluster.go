@@ -44,8 +44,7 @@ type Options struct {
 	// DefaultRecvTimeout).
 	RecvTimeout time.Duration
 	// MinQuorum is the minimum fraction of reporters an aggregation needs
-	// to proceed (applied at both tiers: workers per edge, edges at the
-	// cloud). The default 1 keeps the strict fail-stop protocol: every
+	// to proceed (applied at every aggregating level of the tree). The default 1 keeps the strict fail-stop protocol: every
 	// report is required and any loss surfaces as a timeout error. Values
 	// in (0, 1) enable graceful degradation: aggregations proceed with the
 	// survivors once the straggler deadline passes, renormalizing weights
@@ -58,8 +57,8 @@ type Options struct {
 	StragglerDeadline time.Duration
 	// CheckpointDir enables crash recovery: every node persists its state
 	// into this directory (one snapshot file family per node ID) after each
-	// completed protocol unit — workers per edge interval, edges per
-	// aggregation round, the cloud per sync. Empty disables checkpointing.
+	// completed protocol unit — leaves per leaf-parent interval, aggregators
+	// per aggregation round. Empty disables checkpointing.
 	CheckpointDir string
 	// Resume restarts the run from the checkpoints in CheckpointDir: each
 	// node reloads its newest valid generation and rejoins the protocol at
@@ -82,19 +81,20 @@ type Options struct {
 	// byte-diffable between runs.
 	Telemetry *telemetry.Sink
 
-	// ChurnPlan schedules deterministic worker joins (after round 1) and
-	// permanent leaves (before the final round). Nil or empty means no
-	// planned churn. Distinct from crash/restart fault injection: churn is
+	// ChurnPlan schedules deterministic leaf joins (after round 1) and
+	// permanent leaves (before the final round), in leaf-parent rounds; a
+	// plan names leaves "worker-<parent>-<pos>" by their natal coordinates.
+	// Nil or empty means no planned churn. Distinct from crash/restart fault injection: churn is
 	// part of the protocol — every node knows the plan, late joiners are
 	// admitted with fresh state, and leavers retire after a final
 	// aggregated report.
 	ChurnPlan *membership.Plan
-	// RetierEvery, when positive, re-clusters workers onto edges every
-	// RetierEvery cloud syncs, by label-distribution distance with ties
-	// broken by worker ID. Zero disables re-tiering.
+	// RetierEvery, when positive, re-clusters leaves onto leaf-parents
+	// every RetierEvery root syncs, by label-distribution distance with ties
+	// broken by leaf ID. Zero disables re-tiering.
 	RetierEvery int
-	// Migration selects how adaptive-γℓ edge momentum state migrates when
-	// an edge's cohort changes (default membership.MigrateZero, matching
+	// Migration selects how adaptive-γℓ momentum state migrates when a
+	// leaf-parent's cohort changes (default membership.MigrateZero, matching
 	// the paper's obtuse-angle reset semantics).
 	Migration membership.MigrationPolicy
 	// Clock injects the wall clock behind receive deadlines and straggler
@@ -103,31 +103,21 @@ type Options struct {
 	Clock Clock
 
 	// AttackPlan injects deterministic Byzantine behaviour at the
-	// worker-report boundary (sign-flip, scale, noise, stale-replay; see
+	// leaf-report boundary (sign-flip, scale, noise, stale-replay; see
 	// internal/robust). Nil or empty attacks nobody. Attacks mutate what
-	// compromised workers send, never their local training state, and
-	// compose freely with transport fault plans and churn plans. Must
-	// match across every node of a multi-process run.
+	// compromised leaves send, never their local training state, and
+	// compose freely with transport fault plans and churn plans. Must match
+	// across every node of a multi-process run.
 	AttackPlan *robust.AttackPlan
-	// EdgeAggregator selects the aggregation rule edges apply to worker
-	// reports (default: plain weighted mean, the undefended HierAdMo
-	// rule — bit-identical to pre-robust builds).
-	EdgeAggregator robust.Spec
-	// CloudAggregator selects the aggregation rule the cloud applies to
-	// edge reports, independently of EdgeAggregator.
-	CloudAggregator robust.Spec
 
-	// Topology, when non-nil, runs the config over an N-tier aggregation
-	// tree instead of the fixed cloud/edge/worker triple: per-level sync
-	// periods, per-level aggregation rules, and per-level momentum come
-	// from the spec (see internal/topology). The config's leaf shards
-	// (cfg.Edges flattened in order) are regrouped under the tree's
-	// fanout; its NumLeaves must equal cfg.NumWorkers(). Nil keeps the
-	// original 3-tier runtime untouched — byte-identical traces,
-	// checkpoints, and wire protocol. Tree runs do not yet compose with
-	// dynamic membership (ChurnPlan/RetierEvery) or with the 3-tier
-	// EdgeAggregator/CloudAggregator options (per-level rules live in the
-	// spec instead).
+	// Topology is the aggregation tree the run executes on: per-level sync
+	// periods, aggregation rules (agg=, the robust defences), and momentum
+	// come from the spec (see internal/topology). The config's leaf shards
+	// (cfg.Edges flattened in order) are regrouped under the tree's fan-out,
+	// so its NumLeaves must equal cfg.NumWorkers(). Nil runs the paper's
+	// cloud/edge/worker tree derived from cfg.Edges, Tau and Pi
+	// (topology.ThreeTier), whose node IDs are "cloud", "edge-ℓ", and
+	// "worker-ℓ-i".
 	Topology *topology.Topology
 }
 
@@ -135,14 +125,6 @@ type Options struct {
 // churn plan or periodic re-tiering.
 func (o Options) churnEnabled() bool {
 	return (o.ChurnPlan != nil && !o.ChurnPlan.Empty()) || o.RetierEvery > 0
-}
-
-// robustEnabled reports whether this run departs from the undefended
-// baseline: a non-empty attack plan or a non-mean aggregator at either
-// tier. Baseline runs keep the original code paths (and checkpoint
-// fingerprints) untouched.
-func (o Options) robustEnabled() bool {
-	return !o.AttackPlan.Empty() || o.EdgeAggregator.Robust() || o.CloudAggregator.Robust()
 }
 
 // attackerFor returns the attack executor for node, or nil when the
@@ -154,19 +136,14 @@ func (o Options) attackerFor(node string, nvec, dim int) *robust.Attacker {
 	return o.AttackPlan.Attacker(node, nvec, dim)
 }
 
-// newAggregator builds a tier's robust aggregator, or nil for plain
-// mean: the mean path keeps the tier's original WeightedSum arithmetic
-// so undefended runs are byte-identical to pre-robust builds. Specs are
-// vetted by Options.validate, so construction cannot fail here.
-func newAggregator(s robust.Spec) robust.Aggregator {
+// newAggregator builds a level's robust aggregator, or nil for plain mean:
+// the mean path keeps the WeightedSum arithmetic, so undefended runs are
+// bit-identical to the simulation.
+func newAggregator(s robust.Spec) (robust.Aggregator, error) {
 	if !s.Robust() {
-		return nil
+		return nil, nil
 	}
-	agg, err := robust.New(s)
-	if err != nil {
-		return nil
-	}
-	return agg
+	return robust.New(s)
 }
 
 func (o Options) withDefaults() Options {
@@ -204,24 +181,7 @@ func (o Options) validate() error {
 	if o.Migration < membership.MigrateZero || o.Migration > membership.MigrateRescale {
 		return fmt.Errorf("cluster: unknown migration policy %d", o.Migration)
 	}
-	if err := o.AttackPlan.Validate(); err != nil {
-		return err
-	}
-	if err := o.EdgeAggregator.Validate(); err != nil {
-		return fmt.Errorf("cluster: edge aggregator: %w", err)
-	}
-	if err := o.CloudAggregator.Validate(); err != nil {
-		return fmt.Errorf("cluster: cloud aggregator: %w", err)
-	}
-	if o.Topology != nil {
-		if o.churnEnabled() {
-			return fmt.Errorf("cluster: Topology does not compose with dynamic membership")
-		}
-		if o.EdgeAggregator.Robust() || o.CloudAggregator.Robust() {
-			return fmt.Errorf("cluster: Topology runs configure aggregation per level in the spec, not via Edge/CloudAggregator")
-		}
-	}
-	return nil
+	return o.AttackPlan.Validate()
 }
 
 // tolerant reports whether graceful degradation is enabled (quorum below
@@ -242,13 +202,15 @@ func quorumCount(frac float64, n int) int {
 }
 
 // Run executes HierAdMo over the given network: it spawns one node per
-// worker, edge, and cloud, runs the full T iterations, and returns the
-// cloud's result. The network is closed before returning.
+// tree node of opts.Topology (the three-tier tree derived from the config
+// when nil), runs the full T iterations, and returns the root's result. The
+// network is closed before returning.
 //
 // With the default strict options any lost message fails the run with every
 // node error joined. With MinQuorum < 1 the run instead degrades gracefully:
 // aggregations proceed with a quorum of survivors after the straggler
-// deadline and every tolerated fault is recorded in the result's
+// deadline, leaves the fault plan revives are respawned from their
+// checkpoints, and every tolerated fault is recorded in the result's
 // FaultReport.
 func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	opts = opts.withDefaults()
@@ -258,62 +220,62 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	if opts.Telemetry == nil {
 		opts.Telemetry = cfg.Telemetry
 	}
-	if opts.Topology != nil {
-		return runTree(cfg, net, opts)
-	}
 	hn, err := fl.NewHarness(cfg)
 	if err != nil {
 		return nil, err
 	}
-	memb, err := newMembership(*cfg, opts)
+	ts, err := newTreeSpec(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer net.Close()
 	// Let the transport count its own faults (drops, delays, retries) live
 	// on the sink; mergeTransport below only touches the FaultReport.
-	if ts, ok := net.(transport.TelemetrySetter); ok {
-		ts.SetTelemetry(opts.Telemetry)
+	if tset, ok := net.(transport.TelemetrySetter); ok {
+		tset.SetTelemetry(opts.Telemetry)
 	}
 
-	// Create every endpoint before any node starts (TCP needs all
-	// addresses registered up front).
-	cloudEP, err := net.Endpoint(CloudID)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: cloud endpoint: %w", err)
-	}
-	edgeEPs := make([]transport.Endpoint, cfg.NumEdges())
-	workerEPs := make([][]transport.Endpoint, cfg.NumEdges())
-	for l := range cfg.Edges {
-		if edgeEPs[l], err = net.Endpoint(EdgeID(l)); err != nil {
-			return nil, fmt.Errorf("cluster: edge %d endpoint: %w", l, err)
+	// Create every endpoint before any node starts (TCP needs all addresses
+	// registered up front). eps[i][j] is level i, node j.
+	eps := make([][]transport.Endpoint, ts.depth())
+	for i := range eps {
+		eps[i] = make([]transport.Endpoint, len(ts.ids[i]))
+		for j, id := range ts.ids[i] {
+			if eps[i][j], err = net.Endpoint(id); err != nil {
+				return nil, fmt.Errorf("cluster: %s endpoint: %w", id, err)
+			}
 		}
-		workerEPs[l] = make([]transport.Endpoint, len(cfg.Edges[l]))
-		for i := range cfg.Edges[l] {
-			if workerEPs[l][i], err = net.Endpoint(WorkerID(l, i)); err != nil {
-				return nil, fmt.Errorf("cluster: worker {%d,%d} endpoint: %w", i, l, err)
+	}
+	// Build every aggregator before any node starts, so a bad level rule
+	// fails the run before any goroutine exists.
+	x0 := hn.InitParams()
+	aggs := make([][]*tierNode, ts.depth()-1)
+	for i := range aggs {
+		aggs[i] = make([]*tierNode, len(ts.ids[i]))
+		for j := range aggs[i] {
+			if aggs[i][j], err = newTierNode(cfg, hn, ts, i, j, x0, eps[i][j], opts); err != nil {
+				return nil, err
 			}
 		}
 	}
 
-	x0 := hn.InitParams()
 	rec := newFaultRecorder(opts.Telemetry)
 	if sink := opts.Telemetry; sink.Tracing() {
 		sink.Emit("run_start",
-			telemetry.String("alg", "HierAdMo/cluster"),
-			telemetry.Int("edges", cfg.NumEdges()),
-			telemetry.Int("workers", cfg.NumWorkers()),
-			telemetry.Int("tau", cfg.Tau),
-			telemetry.Int("pi", cfg.Pi),
+			telemetry.String("alg", ts.alg),
+			telemetry.String("topology", ts.topo.String()),
+			telemetry.Int("depth", ts.depth()),
+			telemetry.Int("leaves", ts.topo.NumLeaves()),
 			telemetry.Int("T", cfg.T),
 			telemetry.Int64("seed", int64(cfg.Seed)))
 	}
 
 	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		errs   []error
-		result *fl.Result
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		errs    []error
+		result  *fl.Result
+		rootErr error
 	)
 	fail := func(err error) {
 		if err == nil {
@@ -324,86 +286,84 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 		mu.Unlock()
 	}
 
-	// runDone closes once the cloud has produced its verdict; it bounds the
-	// lifetime of respawned workers so a restarted node that has nothing
-	// left to do can never outlive the run.
+	// runDone closes once the root has produced its verdict; it bounds the
+	// lifetime of respawned leaves so a restarted node that has nothing left
+	// to do can never outlive the run.
 	runDone := make(chan struct{})
 	rv, _ := net.(reviver)
-
-	for l := range cfg.Edges {
-		for i := range cfg.Edges[l] {
-			w := newWorkerNode(cfg, hn, l, i, x0, workerEPs[l][i], opts)
-			w.rec = rec
-			w.memb = memb
-			done := make(chan struct{})
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer close(done)
-				fail(w.run())
-			}()
-			if rv == nil || !opts.tolerant() || !rv.RestartPlanned(WorkerID(l, i)) {
-				continue
-			}
-			// Supervisor: once the original incarnation has died AND the
-			// fault plan's outage window has ended, respawn the worker from
-			// its checkpoint (Resume). It reloads its last snapshot — or
-			// starts from x⁰ when it crashed before ever saving — re-sends
-			// its stale report, and rejoins through the stale-rejection and
-			// fast-forward resync machinery like any straggler.
-			wg.Add(1)
-			go func(l, i int, ep transport.Endpoint, done <-chan struct{}) {
-				defer wg.Done()
-				<-done
-				for !rv.Revived(WorkerID(l, i)) {
-					select {
-					case <-runDone:
-						return // run finished before the outage ended
-					case <-time.After(5 * time.Millisecond):
-					}
-				}
-				ropts := opts
-				ropts.Resume = opts.CheckpointDir != ""
-				ropts.Interrupt = mergeInterrupt(opts.Interrupt, runDone)
-				rw := newWorkerNode(cfg, hn, l, i, x0, ep, ropts)
-				rw.rec = rec
-				rw.memb = memb
-				if err := rw.run(); err != nil && !errors.Is(err, ErrInterrupted) {
-					// An interrupt here just means the run ended while the
-					// respawned worker was still catching up — expected, not
-					// a fault.
-					fail(err)
-				}
-			}(l, i, workerEPs[l][i], done)
-		}
-		e := newEdgeNode(cfg, hn, l, x0, edgeEPs[l], opts)
-		e.rec = rec
-		e.memb = memb
+	leafLvl := ts.depth() - 1
+	for j, ep := range eps[leafLvl] {
+		w := newTreeLeaf(cfg, ts, j, x0, ep, opts)
+		w.rec = rec
+		done := make(chan struct{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fail(e.run())
+			defer close(done)
+			fail(w.run())
 		}()
+		if rv == nil || !opts.tolerant() || !rv.RestartPlanned(w.id()) {
+			continue
+		}
+		// Supervisor: once the original incarnation has died AND the fault
+		// plan's outage window has ended, respawn the leaf from its
+		// checkpoint (Resume). It reloads its last snapshot — or starts from
+		// x⁰ when it crashed before ever saving — re-sends its stale report,
+		// and rejoins through the stale-rejection and fast-forward resync
+		// machinery like any straggler.
+		wg.Add(1)
+		go func(j int, ep transport.Endpoint) {
+			defer wg.Done()
+			<-done
+			for !rv.Revived(ts.ids[leafLvl][j]) {
+				select {
+				case <-runDone:
+					return // run finished before the outage ended
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+			ropts := opts
+			ropts.Resume = opts.CheckpointDir != ""
+			ropts.Interrupt = mergeInterrupt(opts.Interrupt, runDone)
+			rw := newTreeLeaf(cfg, ts, j, x0, ep, ropts)
+			rw.rec = rec
+			if err := rw.run(); err != nil && !errors.Is(err, ErrInterrupted) {
+				// An interrupt here just means the run ended while the
+				// respawned leaf was still catching up — expected, not a
+				// fault.
+				fail(err)
+			}
+		}(j, ep)
 	}
-
-	c := newCloudNode(cfg, hn, x0, cloudEP, opts)
-	c.rec = rec
-	c.memb = memb
-	var cloudErr error
+	for i := leafLvl - 1; i > 0; i-- {
+		for _, n := range aggs[i] {
+			n.rec = rec
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, err := n.run()
+				fail(err)
+			}()
+		}
+	}
+	root := aggs[0][0]
+	root.rec = rec
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, err := c.run()
+		res, err := root.run()
 		mu.Lock()
-		result, cloudErr = res, err
+		result, rootErr = res, err
 		mu.Unlock()
 		close(runDone)
 	}()
 
 	wg.Wait()
-	for _, ep := range flattenEndpoints(cloudEP, edgeEPs, workerEPs) {
-		if cerr := ep.Close(); cerr != nil {
-			fail(fmt.Errorf("cluster: close %s: %w", ep.ID(), cerr))
+	for _, lvl := range eps {
+		for _, ep := range lvl {
+			if cerr := ep.Close(); cerr != nil {
+				fail(fmt.Errorf("cluster: close %s: %w", ep.ID(), cerr))
+			}
 		}
 	}
 	if sr, ok := net.(transport.StatsReporter); ok {
@@ -411,12 +371,12 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	// Strict mode fails on any node error; tolerant mode fails only when
-	// the cloud could not produce a result. Either way the joined error
-	// carries every node's failure so the root cause is never masked by the
-	// cascade of downstream timeouts.
-	if cloudErr != nil || result == nil || (len(errs) > 0 && !opts.tolerant()) {
-		all := append([]error{cloudErr}, errs...)
+	// Strict mode fails on any node error; tolerant mode fails only when the
+	// root could not produce a result. Either way the joined error carries
+	// every node's failure so the root cause is never masked by the cascade
+	// of downstream timeouts.
+	if rootErr != nil || result == nil || (len(errs) > 0 && !opts.tolerant()) {
+		all := append([]error{rootErr}, errs...)
 		return nil, fmt.Errorf("cluster: run failed: %w", errors.Join(all...))
 	}
 	// Tolerated dropouts become part of the fault report instead.
@@ -424,8 +384,8 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 		rec.nodeError(err)
 	}
 	result.FaultReport = rec.report()
-	result.Membership = memb.flReport()
-	result.AttackReport = rec.attackReport(opts)
+	result.Membership = ts.memb.flReport()
+	result.AttackReport = rec.attackReport(opts, ts.topo)
 	if sink := opts.Telemetry; sink.Tracing() {
 		sink.Emit("run_end",
 			telemetry.Float("final_acc", result.FinalAcc),
@@ -434,11 +394,54 @@ func Run(cfg *fl.Config, net Network, opts Options) (*fl.Result, error) {
 	return result, nil
 }
 
-func flattenEndpoints(cloud transport.Endpoint, edges []transport.Endpoint, workers [][]transport.Endpoint) []transport.Endpoint {
-	out := []transport.Endpoint{cloud}
-	out = append(out, edges...)
-	for _, ws := range workers {
-		out = append(out, ws...)
+// RunTreeNode executes one node of a multi-process deployment (cmd/flnode)
+// against ep. Every process builds the identical fl.Config and options
+// deterministically from shared flags (synthetic data regenerates locally,
+// so no training data crosses the wire), opens its own transport endpoint,
+// and runs exactly one node, so a multi-process run is bit-identical to the
+// single-process one. level/idx address the node in opts.Topology (the
+// three-tier tree derived from the config when nil): level 0 returns the run
+// result, every other level returns nil on success, and level depth-1 is a
+// training leaf.
+func RunTreeNode(cfg *fl.Config, level, idx int, ep transport.Endpoint, opts Options) (*fl.Result, error) {
+	opts = opts.withDefaults()
+	if opts.Telemetry == nil {
+		opts.Telemetry = cfg.Telemetry
 	}
-	return out
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	hn, err := fl.NewHarness(cfg)
+	if err != nil {
+		return nil, err
+	}
+	ts, err := newTreeSpec(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	if level < 0 || level >= ts.depth() || idx < 0 || idx >= len(ts.ids[level]) {
+		return nil, fmt.Errorf("cluster: no node at level %d index %d in topology %q", level, idx, ts.topo)
+	}
+	rec := newFaultRecorder(opts.Telemetry)
+	if level == ts.depth()-1 {
+		w := newTreeLeaf(cfg, ts, idx, hn.InitParams(), ep, opts)
+		w.rec = rec
+		return nil, w.run()
+	}
+	n, err := newTierNode(cfg, hn, ts, level, idx, hn.InitParams(), ep, opts)
+	if err != nil {
+		return nil, err
+	}
+	n.rec = rec
+	res, err := n.run()
+	if err != nil || res == nil {
+		return nil, err
+	}
+	// A multi-process root only sees its own tier's observations; lower
+	// tiers' faults, rejections, and injections live on their processes'
+	// sinks.
+	res.FaultReport = rec.report()
+	res.Membership = ts.memb.flReport()
+	res.AttackReport = rec.attackReport(opts, ts.topo)
+	return res, nil
 }

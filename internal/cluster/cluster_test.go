@@ -57,25 +57,37 @@ func TestProtocolIDs(t *testing.T) {
 	if EdgeID(3) != "edge-3" || WorkerID(2, 5) != "worker-2-5" {
 		t.Error("ID formats wrong")
 	}
-	i, err := parseWorkerIndex("worker-1-7")
-	if err != nil || i != 7 {
-		t.Errorf("parseWorkerIndex = %d, %v", i, err)
+	// The default tree names its nodes exactly like the helpers, so churn
+	// plans, attack plans, and registries written against them keep working.
+	topo := DefaultTopology(buildConfig(t, 1, 0))
+	want := [][]string{{CloudID}, {EdgeID(0), EdgeID(1)},
+		{WorkerID(0, 0), WorkerID(0, 1), WorkerID(1, 0), WorkerID(1, 1)}}
+	for lvl, ids := range want {
+		for idx, id := range ids {
+			if got := topo.NodeID(lvl, idx); got != id {
+				t.Errorf("NodeID(%d, %d) = %q, want %q", lvl, idx, got, id)
+			}
+		}
 	}
-	if _, err := parseWorkerIndex("bogus"); err == nil {
+	lvl, i, err := topo.ParseNodeID("worker-1-1")
+	if err != nil || lvl != 2 || i != 3 {
+		t.Errorf("ParseNodeID(worker-1-1) = %d, %d, %v", lvl, i, err)
+	}
+	if _, _, err := topo.ParseNodeID("bogus"); err == nil {
 		t.Error("accepted malformed worker id")
 	}
-	if _, err := parseWorkerIndex("worker-a-b"); err == nil {
+	if _, _, err := topo.ParseNodeID("worker-a-b"); err == nil {
 		t.Error("accepted non-numeric worker id")
 	}
-	l, err := parseEdgeIndex("edge-4")
-	if err != nil || l != 4 {
-		t.Errorf("parseEdgeIndex = %d, %v", l, err)
+	lvl, l, err := topo.ParseNodeID("edge-1")
+	if err != nil || lvl != 1 || l != 1 {
+		t.Errorf("ParseNodeID(edge-1) = %d, %d, %v", lvl, l, err)
 	}
-	if _, err := parseEdgeIndex("edge-x"); err == nil {
+	if _, _, err := topo.ParseNodeID("edge-x"); err == nil {
 		t.Error("accepted non-numeric edge id")
 	}
-	if _, err := parseEdgeIndex("worker-1-1"); err == nil {
-		t.Error("accepted worker id as edge id")
+	if _, _, err := topo.ParseNodeID("edge-4"); err == nil {
+		t.Error("accepted out-of-range edge id")
 	}
 }
 

@@ -6,14 +6,14 @@ import (
 	"hieradmo/internal/fl"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
+	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
 // faultRecorder accumulates the fault observations of every node in a run
 // into one fl.FaultReport, and mirrors each observation onto the run's
 // telemetry sink as it happens — counters live, one trace event per
-// tolerated fault. All methods are nil-safe so the per-role entry points
-// can run without one.
+// tolerated fault. All methods are nil-safe.
 //
 // Transport-level faults (drops, delays, retries) are counted live by the
 // transport layer itself (see transport.FaultyNetwork.SetTelemetry);
@@ -36,52 +36,11 @@ func newFaultRecorder(sink *telemetry.Sink) *faultRecorder {
 	}
 }
 
-// missingWorkers records that an edge quorum at iteration t proceeded
-// without n of its workers.
-func (r *faultRecorder) missingWorkers(t, n int) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.rep.MissingWorkers[t] += n
-	r.mu.Unlock()
-	m := r.sink.M()
-	m.QuorumMet.Inc()
-	m.QuorumMissingWorkers.Add(int64(n))
-	if r.sink.Tracing() {
-		r.sink.Emit("quorum",
-			telemetry.String("tier", "edge"),
-			telemetry.Int("t", t),
-			telemetry.Int("missing", n))
-	}
-}
-
-// missingEdges records that the cloud sync at iteration t substituted n
-// edges' reports with their last known state.
-func (r *faultRecorder) missingEdges(t, n int) {
-	if r == nil || n == 0 {
-		return
-	}
-	r.mu.Lock()
-	r.rep.MissingEdges[t] += n
-	r.mu.Unlock()
-	m := r.sink.M()
-	m.QuorumMet.Inc()
-	m.QuorumMissingEdges.Add(int64(n))
-	if r.sink.Tracing() {
-		r.sink.Emit("quorum",
-			telemetry.String("tier", "cloud"),
-			telemetry.Int("t", t),
-			telemetry.Int("missing", n))
-	}
-}
-
-// missingTier records an N-tier aggregation at iteration t proceeding
-// without n of its children: leaf-parent quorums forfeit stragglers (the
-// edge semantics, counted under MissingWorkers), every other level
-// substitutes last reports (the cloud semantics, counted under
-// MissingEdges). The quorum trace event carries the level name and tier
-// index so depth-parametric runs stay attributable.
+// missingTier records an aggregation at iteration t proceeding without n of
+// its children: leaf-parent quorums forfeit stragglers (counted under
+// MissingWorkers), every other level substitutes last reports (counted
+// under MissingEdges). The quorum trace event carries the level name and
+// tier index so depth-parametric runs stay attributable.
 func (r *faultRecorder) missingTier(level string, tier, t, n int, leaf bool) {
 	if r == nil || n == 0 {
 		return
@@ -172,7 +131,7 @@ func (r *faultRecorder) fastforward(node string, from, to int) {
 // of the protocol, not a fault, so none of them touches the FaultReport.
 // The schedule-derived fl.MembershipReport is the durable record.
 
-// joined records a worker admitted into an edge cohort at iteration t,
+// joined records a leaf admitted into a leaf-parent's cohort at iteration t,
 // either as a planned join or as a re-tiering reassignment.
 func (r *faultRecorder) joined(node string, t int, reassigned bool) {
 	if r == nil {
@@ -193,7 +152,7 @@ func (r *faultRecorder) joined(node string, t int, reassigned bool) {
 	}
 }
 
-// left records a worker retired after its final report at iteration t.
+// left records a leaf retired after its final report at iteration t.
 func (r *faultRecorder) left(node string, t int) {
 	if r == nil {
 		return
@@ -207,7 +166,7 @@ func (r *faultRecorder) left(node string, t int) {
 }
 
 // retier records a re-tiering step that changed the assignment, moving
-// `moved` workers effective at iteration t.
+// `moved` leaves effective at iteration t.
 func (r *faultRecorder) retier(t, moved int) {
 	if r == nil {
 		return
@@ -220,7 +179,8 @@ func (r *faultRecorder) retier(t, moved int) {
 	}
 }
 
-// migrated records a γℓ migration applied by an edge whose cohort changed.
+// migrated records a γℓ migration applied by a leaf-parent whose cohort
+// changed.
 func (r *faultRecorder) migrated(node string, t int, policy string, gamma float64) {
 	if r == nil {
 		return
@@ -235,7 +195,7 @@ func (r *faultRecorder) migrated(node string, t int, policy string, gamma float6
 	}
 }
 
-// injected records a Byzantine worker mutating its boundary report at
+// injected records a Byzantine leaf mutating its boundary report at
 // iteration t according to the run's attack plan. The injection is part
 // of the scenario, not a fault, so it accumulates into the AttackReport
 // rather than the FaultReport.
@@ -258,58 +218,11 @@ func (r *faultRecorder) injected(node string, t int, kind string) {
 	}
 }
 
-// robust records what one robust aggregation did at node (an edge or the
-// cloud) for iteration t: every rejected reporter and every clipped
-// update becomes a counter bump and a trace event, so the telemetry
-// totals match the AttackReport exactly. ids maps the aggregation's
-// reporter slots to node IDs.
-func (r *faultRecorder) robust(node, tier string, t int, st robust.Stats, ids []string) {
-	if r == nil || (len(st.Rejected) == 0 && len(st.Clipped) == 0) {
-		return
-	}
-	r.mu.Lock()
-	if tier == "cloud" {
-		r.att.RejectedCloud += len(st.Rejected)
-	} else {
-		r.att.RejectedEdge += len(st.Rejected)
-	}
-	r.att.Clipped += len(st.Clipped)
-	r.mu.Unlock()
-	m := r.sink.M()
-	m.RobustRejected.Add(int64(len(st.Rejected)))
-	m.RobustClipped.Add(int64(len(st.Clipped)))
-	if len(st.Clipped) > 0 {
-		m.RobustClipNorm.Set(st.MaxNorm)
-	}
-	if !r.sink.Tracing() {
-		return
-	}
-	slot := func(j int) string {
-		if j < len(ids) {
-			return ids[j]
-		}
-		return ""
-	}
-	for _, j := range st.Rejected {
-		r.sink.Emit("robust_reject",
-			telemetry.String("node", node),
-			telemetry.String("tier", tier),
-			telemetry.Int("t", t),
-			telemetry.String("from", slot(j)))
-	}
-	for _, j := range st.Clipped {
-		r.sink.Emit("robust_clip",
-			telemetry.String("node", node),
-			telemetry.String("tier", tier),
-			telemetry.Int("t", t),
-			telemetry.String("from", slot(j)),
-			telemetry.Float("max_norm", st.MaxNorm))
-	}
-}
-
-// robustTier records what one robust aggregation did at a tree node: like
-// robust, but attributed to the node's tier index (and level name) instead
-// of the edge/cloud pair.
+// robustTier records what one robust aggregation did at node for iteration
+// t: every rejected reporter and every clipped update becomes a counter bump
+// and a trace event attributed to the node's tier index (and level name), so
+// the telemetry totals match the AttackReport exactly. ids maps the
+// aggregation's reporter slots to node IDs.
 func (r *faultRecorder) robustTier(node, level string, tier, t int, st robust.Stats, ids []string) {
 	if r == nil || (len(st.Rejected) == 0 && len(st.Clipped) == 0) {
 		return
@@ -400,35 +313,17 @@ func (r *faultRecorder) report() *fl.FaultReport {
 	return &rep
 }
 
-// attackReport returns the accumulated Byzantine-scenario report, or nil
-// for runs where the robust layer never engaged (no attacks injected,
-// nothing rejected or clipped, mean aggregation everywhere).
-func (r *faultRecorder) attackReport(opts Options) *fl.AttackReport {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.att.Any() && !opts.robustEnabled() {
-		return nil
-	}
-	rep := r.att
-	rep.EdgeAggregator = opts.EdgeAggregator.String()
-	rep.CloudAggregator = opts.CloudAggregator.String()
-	return &rep
-}
-
-// attackReportTree is the N-tier counterpart of attackReport: activity is
-// attributed by tier index and the per-level rules come from the topology
-// spec. Returns nil when no attack was injected and every level aggregates
-// with plain mean.
-func (r *faultRecorder) attackReportTree(opts Options) *fl.AttackReport {
+// attackReport returns the accumulated Byzantine-scenario report: activity
+// is attributed by tier index and the per-level rules come from the
+// topology. Returns nil when no attack was injected and every level
+// aggregates with plain mean.
+func (r *faultRecorder) attackReport(opts Options, topo *topology.Topology) *fl.AttackReport {
 	if r == nil {
 		return nil
 	}
 	robustLevel := false
-	aggs := make([]string, 0, opts.Topology.Depth()-1)
-	for _, lv := range opts.Topology.Levels[:opts.Topology.Depth()-1] {
+	aggs := make([]string, 0, topo.Depth()-1)
+	for _, lv := range topo.Levels[:topo.Depth()-1] {
 		aggs = append(aggs, lv.Agg.String())
 		if lv.Agg.Robust() {
 			robustLevel = true

@@ -10,6 +10,7 @@ import (
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
+	"hieradmo/internal/tensor"
 	"hieradmo/internal/transport"
 )
 
@@ -55,6 +56,21 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// edgeTierNode builds edge 0 of cfg's default tree as a standalone node on
+// ep, for collection tests that drive one aggregator by hand.
+func edgeTierNode(t *testing.T, cfg *fl.Config, hn *fl.Harness, x0 tensor.Vector, ep transport.Endpoint, opts Options) *tierNode {
+	t.Helper()
+	ts, err := newTreeSpec(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := newTierNode(cfg, hn, ts, 1, 0, x0, ep, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestEdgeDuplicateReportRejected regression-tests the collection bug where a
 // duplicate report overwrote its slot while inflating the reporter count,
 // leaving a zero-valued Message (nil vectors) in the aggregation.
@@ -80,14 +96,14 @@ func TestEdgeDuplicateReportRejected(t *testing.T) {
 	}
 
 	x0 := hn.InitParams()
-	e := newEdgeNode(cfg, hn, 0, x0, edgeEP, Options{}.withDefaults())
+	e := edgeTierNode(t, cfg, hn, x0, edgeEP, Options{}.withDefaults())
 	e.rec = newFaultRecorder(nil)
 
 	report := func(ep transport.Endpoint) {
 		t.Helper()
 		v := x0.Clone()
 		msg := transport.Message{
-			Kind:    KindEdgeReport,
+			Kind:    KindTierReport,
 			Round:   cfg.Tau,
 			Vectors: [][]float64{v, v.Clone(), v.Clone(), v.Clone()},
 			Scalars: map[string]float64{ScalarLoss: 1},
@@ -100,7 +116,7 @@ func TestEdgeDuplicateReportRejected(t *testing.T) {
 	report(w0) // duplicate: must not count as a second distinct reporter
 	report(w1)
 
-	reports, idx, adopted, err := e.collectReports(1)
+	adopted, reports, idx, err := e.collect(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +436,7 @@ func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 		StragglerDeadline: 50 * time.Millisecond,
 		RecvTimeout:       2 * time.Second,
 	}.withDefaults()
-	e := newEdgeNode(cfg, hn, 0, x0, edgeEP, opts)
+	e := edgeTierNode(t, cfg, hn, x0, edgeEP, opts)
 	e.rec = newFaultRecorder(nil)
 
 	// The cloud finished the second sync (round 2τπ) while this edge never
@@ -431,7 +447,7 @@ func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 	x := x0.Clone()
 	x[0] += 2
 	update := transport.Message{
-		Kind:    KindCloudUpdate,
+		Kind:    KindTierUpdate,
 		Round:   want,
 		Vectors: [][]float64{y, x},
 	}
@@ -439,7 +455,7 @@ func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, adopted, err := e.collectReports(1)
+	adopted, _, _, err := e.collect(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,14 +470,14 @@ func TestEdgeAdoptsMidCollectCloudUpdate(t *testing.T) {
 	// Strict mode must keep discarding out-of-band cloud updates as stale:
 	// strict edges never give up on a sync, so such an update cannot be a
 	// legitimate fast-forward signal mid-collect.
-	strict := newEdgeNode(cfg, hn, 0, x0, edgeEP, Options{
+	strict := edgeTierNode(t, cfg, hn, x0, edgeEP, Options{
 		RecvTimeout: 200 * time.Millisecond,
 	}.withDefaults())
 	strict.rec = newFaultRecorder(nil)
 	if err := cloudEP.Send(EdgeID(0), update); err != nil {
 		t.Fatal(err)
 	}
-	_, _, adopted, err = strict.collectReports(1)
+	adopted, _, _, err = strict.collect(1)
 	if !errors.Is(err, transport.ErrTimeout) {
 		t.Fatalf("strict collect: adopted=%d err=%v, want timeout", adopted, err)
 	}

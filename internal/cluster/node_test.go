@@ -31,7 +31,7 @@ func freePorts(t *testing.T, n int) []string {
 }
 
 // TestStaticNodesMatchSimulation drives the multi-process deployment path
-// (per-role entry points + static registry TCP endpoints, each role building
+// (per-node entry points + static registry TCP endpoints, each node building
 // its own config and harness) and checks bit-equality with the simulation.
 func TestStaticNodesMatchSimulation(t *testing.T) {
 	cfg := buildConfig(t, 107, 2)
@@ -75,7 +75,8 @@ func TestStaticNodesMatchSimulation(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				defer ep.Close()
-				fail(RunWorkerNode(cfg, l, i, ep, opts))
+				_, err := RunTreeNode(cfg, 2, 2*l+i, ep, opts)
+				fail(err)
 			}()
 		}
 		l := l
@@ -87,7 +88,8 @@ func TestStaticNodesMatchSimulation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer ep.Close()
-			fail(RunEdgeNode(cfg, l, ep, opts))
+			_, err := RunTreeNode(cfg, 1, l, ep, opts)
+			fail(err)
 		}()
 	}
 
@@ -99,7 +101,7 @@ func TestStaticNodesMatchSimulation(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer cloudEP.Close()
-		res, err := RunCloudNode(cfg, cloudEP, opts)
+		res, err := RunTreeNode(cfg, 0, 0, cloudEP, opts)
 		if err != nil {
 			result <- err
 			return
@@ -130,21 +132,21 @@ func TestNodeEntryPointValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := RunWorkerNode(cfg, 9, 0, ep, Options{}); err == nil {
-		t.Error("out-of-range edge accepted")
+	if _, err := RunTreeNode(cfg, 9, 0, ep, Options{}); err == nil {
+		t.Error("out-of-range level accepted")
 	}
-	if err := RunWorkerNode(cfg, 0, 9, ep, Options{}); err == nil {
+	if _, err := RunTreeNode(cfg, 2, 9, ep, Options{}); err == nil {
 		t.Error("out-of-range worker accepted")
 	}
-	if err := RunEdgeNode(cfg, -1, ep, Options{}); err == nil {
+	if _, err := RunTreeNode(cfg, 1, -1, ep, Options{}); err == nil {
 		t.Error("negative edge accepted")
 	}
 	bad := *cfg
 	bad.T = 7
-	if err := RunWorkerNode(&bad, 0, 0, ep, Options{}); err == nil {
+	if _, err := RunTreeNode(&bad, 2, 0, ep, Options{}); err == nil {
 		t.Error("invalid config accepted by worker node")
 	}
-	if _, err := RunCloudNode(&bad, ep, Options{}); err == nil {
+	if _, err := RunTreeNode(&bad, 0, 0, ep, Options{}); err == nil {
 		t.Error("invalid config accepted by cloud node")
 	}
 }

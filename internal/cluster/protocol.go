@@ -1,58 +1,31 @@
 // Package cluster executes HierAdMo (Algorithm 1) as an actual distributed
-// protocol: one goroutine-hosted node per worker, edge, and cloud,
-// exchanging models, momenta, and interval accumulators as messages over a
-// transport (in-memory for tests and single-machine runs, TCP for real
-// sockets).
+// protocol over an aggregation tree: one goroutine-hosted node per training
+// leaf and per aggregator, exchanging models, momenta, and interval
+// accumulators as messages over a transport (in-memory for tests and
+// single-machine runs, TCP for real sockets).
+//
+// There is one engine. The paper's cloud/edge/worker hierarchy is the
+// depth-3 instance of the tree, derived from the config's edges, τ and π
+// when Options.Topology is nil; an explicit topology (internal/topology)
+// sets any depth, fan-out, per-level period, aggregation rule, and momentum.
+// Fault tolerance, dynamic membership, Byzantine attacks and robust
+// aggregation, and checkpoint/resume all run on the same tree.
 //
 // The in-process simulation in internal/core is the reference semantics:
-// the cluster performs the same floating-point operations in the same
-// order, so a cluster run and a simulation run with the same fl.Config
+// the three-tier tree performs the same floating-point operations in the
+// same order, so a cluster run and a simulation run with the same fl.Config
 // produce bit-identical models (verified by TestClusterMatchesSimulation).
 package cluster
 
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"hieradmo/internal/transport"
 )
 
 // Protocol message kinds.
 const (
-	// KindEdgeReport is worker → edge at t = kτ, carrying
-	// [y, x, Σ∇F, Σy] and the worker's latest mini-batch loss.
-	KindEdgeReport = "edge-report"
-	// KindEdgeUpdate is edge → worker after an edge (or cloud) update,
-	// carrying [y_ℓ−, x_ℓ+].
-	KindEdgeUpdate = "edge-update"
-	// KindCloudReport is edge → cloud at t = pτπ, carrying [y_ℓ−, x_ℓ+]
-	// and the edge's weighted loss.
-	KindCloudReport = "cloud-report"
-	// KindCloudUpdate is cloud → edge, carrying the cloud-aggregated [y, x].
-	KindCloudUpdate = "cloud-update"
-
-	// Dynamic-membership control messages. ADMIT and RETIRE are edge →
-	// worker; REASSIGN is cloud → edge. None of them carries a membership
-	// *decision* — every node derives the same schedule from the churn plan,
-	// so the messages only synchronize when a transition takes effect.
-
-	// KindAdmit is edge → worker, admitting a joining or reassigned-in
-	// worker into the edge's cohort. It carries the same [y_ℓ−, x_ℓ+]
-	// payload as KindEdgeUpdate, giving the newcomer its starting state.
-	KindAdmit = "admit"
-	// KindRetire is edge → worker, acknowledging a planned permanent leave
-	// after the worker's final report was aggregated. No payload.
-	KindRetire = "retire"
-	// KindReassign is cloud → edge after a re-tiering step, carrying the
-	// flattened (edge, index, newEdge) triples of moved workers so edges
-	// can cross-check their locally computed schedule.
-	KindReassign = "reassign"
-
-	// N-tier tree protocol (Options.Topology). The default 3-tier runtime
-	// keeps the kinds above untouched, so unchanged configs speak the exact
-	// pre-tree wire protocol.
-
 	// KindTierReport is child → parent at the child's parent-sync boundary:
 	// training leaves send [y, x, Σ∇F, Σy] and their latest mini-batch loss;
 	// aggregating levels send [y_ℓ−, x_ℓ+] and their weighted loss.
@@ -60,6 +33,30 @@ const (
 	// KindTierUpdate is parent → child after an aggregation, carrying the
 	// level's [y_ℓ−, x_ℓ+].
 	KindTierUpdate = "tier-update"
+
+	// Dynamic-membership control messages. ADMIT and RETIRE are leaf-parent
+	// → leaf; REASSIGN is root → leaf-parent. None of them carries a
+	// membership *decision* — every node derives the same schedule from the
+	// churn plan, so the messages only synchronize when a transition takes
+	// effect.
+
+	// KindAdmit admits a joining or reassigned-in leaf into a leaf-parent's
+	// cohort. It carries the same [y_ℓ−, x_ℓ+] payload as KindTierUpdate,
+	// giving the newcomer its starting state.
+	KindAdmit = "admit"
+	// KindRetire acknowledges a planned permanent leave after the leaf's
+	// final report was aggregated. No payload.
+	KindRetire = "retire"
+	// KindReassign follows a re-tiering step, carrying the flattened
+	// (parent, position, newParent) triples of moved leaves so leaf-parents
+	// can cross-check their locally computed schedule.
+	KindReassign = "reassign"
+
+	// KindEdgeUpdate and KindCloudUpdate are the update kinds of the retired
+	// role-specific three-tier engine. No node sends them any more; they
+	// remain so tools that classify recorded traffic keep building.
+	KindEdgeUpdate  = "edge-update"
+	KindCloudUpdate = "cloud-update"
 )
 
 // Scalar keys used in messages.
@@ -68,41 +65,17 @@ const (
 	ScalarLoss = "loss"
 )
 
-// CloudID is the cloud node's transport ID.
+// CloudID is the root's transport ID in the default three-tier tree
+// (topology.ThreeTier names its root after its level).
 const CloudID = "cloud"
 
-// EdgeID returns the transport ID of edge ℓ.
+// EdgeID returns the transport ID of edge ℓ in the default three-tier tree.
 func EdgeID(l int) string { return "edge-" + strconv.Itoa(l) }
 
-// WorkerID returns the transport ID of worker {i,ℓ}.
+// WorkerID returns the transport ID of worker {i,ℓ} in the default
+// three-tier tree.
 func WorkerID(l, i int) string {
 	return "worker-" + strconv.Itoa(l) + "-" + strconv.Itoa(i)
-}
-
-// parseWorkerIndex extracts the worker index i from a WorkerID.
-func parseWorkerIndex(id string) (int, error) {
-	parts := strings.Split(id, "-")
-	if len(parts) != 3 || parts[0] != "worker" {
-		return 0, fmt.Errorf("cluster: malformed worker id %q", id)
-	}
-	i, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return 0, fmt.Errorf("cluster: malformed worker id %q: %w", id, err)
-	}
-	return i, nil
-}
-
-// parseEdgeIndex extracts the edge index ℓ from an EdgeID.
-func parseEdgeIndex(id string) (int, error) {
-	parts := strings.Split(id, "-")
-	if len(parts) != 2 || parts[0] != "edge" {
-		return 0, fmt.Errorf("cluster: malformed edge id %q", id)
-	}
-	l, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, fmt.Errorf("cluster: malformed edge id %q: %w", id, err)
-	}
-	return l, nil
 }
 
 // expectKind validates an incoming message's type.

@@ -3,12 +3,14 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
 	"hieradmo/internal/telemetry"
+	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
@@ -63,10 +65,24 @@ func recvInterruptible(ep transport.Endpoint, wait time.Duration, opts Options) 
 	}
 }
 
+// ErrLegacySnapshot is returned when a resume finds a snapshot written by
+// the retired role-specific cloud/edge/worker engine. Its node state does
+// not map onto the tree's, so the run refuses it instead of guessing; start
+// the run fresh. The error also matches checkpoint.ErrMismatch.
+var ErrLegacySnapshot = errors.New("cluster: snapshot written by the retired three-tier engine")
+
+// snapshotFormat names the cluster's snapshot layout in every fingerprint.
+// Bump it when node state changes incompatibly; legacyFormat is the
+// fingerprint prefix of the engine this one replaced.
+const (
+	snapshotFormat = "cluster/tree.v2"
+	legacyFormat   = "alg=cluster/hieradmo "
+)
+
 // nodeRegistry builds the checkpoint registry of one cluster node, keyed by
 // its transport ID so every node of a deployment can share one directory.
 // Returns nil (no checkpointing) when no directory is configured.
-func nodeRegistry(cfg *fl.Config, opts Options, nodeID string) (*checkpoint.Registry, error) {
+func nodeRegistry(cfg *fl.Config, topo *topology.Topology, opts Options, nodeID string) (*checkpoint.Registry, error) {
 	if opts.CheckpointDir == "" {
 		return nil, nil
 	}
@@ -75,12 +91,14 @@ func nodeRegistry(cfg *fl.Config, opts Options, nodeID string) (*checkpoint.Regi
 		return nil, err
 	}
 	// The fingerprint covers everything that shapes the distributed
-	// trajectory: the full run config plus the algorithm options. Timeouts
-	// and quorum are operational knobs a restarted deployment may
-	// legitimately change, so they stay out. Static runs keep the exact
-	// pre-churn fingerprint so existing snapshot families stay valid.
-	fp := cfg.Fingerprint("cluster/hieradmo") +
-		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g", opts.Adaptive, opts.Signal, opts.Ceiling)
+	// trajectory: the full run config, the algorithm options, and the
+	// canonical tree spec — depth, fan-out, per-level periods, rules, and
+	// momentum — so a snapshot can never be resumed under a different tree.
+	// Timeouts and quorum are operational knobs a restarted deployment may
+	// legitimately change, so they stay out.
+	fp := cfg.Fingerprint(snapshotFormat) +
+		fmt.Sprintf(" adaptive=%v signal=%d ceiling=%g topology=%s",
+			opts.Adaptive, opts.Signal, opts.Ceiling, topo)
 	if opts.churnEnabled() {
 		plan := membership.Plan{}
 		if opts.ChurnPlan != nil {
@@ -89,21 +107,10 @@ func nodeRegistry(cfg *fl.Config, opts Options, nodeID string) (*checkpoint.Regi
 		fp += fmt.Sprintf(" churn=%s retier=%d migrate=%s",
 			plan.Signature(), opts.RetierEvery, opts.Migration)
 	}
-	if opts.robustEnabled() {
-		// Attack plan and aggregator choices shape the trajectory just
-		// like the algorithm options: resuming a Byzantine run under a
-		// different scenario is refused (checkpoint.ErrMismatch). The
-		// suffix is only added when the robust layer engages, so
-		// baseline snapshot families stay valid.
-		fp += fmt.Sprintf(" attack=%s agg-edge=%s agg-cloud=%s",
-			opts.AttackPlan.Signature(), opts.EdgeAggregator, opts.CloudAggregator)
-	}
-	if opts.Topology != nil {
-		// The canonical spec string pins the whole tree shape — depth,
-		// fan-out, per-level periods, rules, and momentum — so a snapshot
-		// can never be resumed under a different topology. Default 3-tier
-		// runs (nil Topology) keep their exact pre-tree fingerprints.
-		fp += " topology=" + opts.Topology.String()
+	if !opts.AttackPlan.Empty() {
+		// Resuming a Byzantine run under a different scenario is refused
+		// (checkpoint.ErrMismatch) just like a different config.
+		fp += " attack=" + opts.AttackPlan.Signature()
 	}
 	return checkpoint.NewRegistry(mgr, fp), nil
 }
@@ -121,6 +128,10 @@ func restoreOrClear(reg *checkpoint.Registry, resume bool, sink *telemetry.Sink,
 		return 0, reg.Clear()
 	}
 	seq, _, err := reg.Restore()
+	var mismatch *checkpoint.MismatchError
+	if errors.As(err, &mismatch) && strings.HasPrefix(mismatch.Snapshot, legacyFormat) {
+		return 0, fmt.Errorf("%w: %w", ErrLegacySnapshot, err)
+	}
 	if err == nil && seq > 0 {
 		sink.M().CheckpointResumes.Inc()
 		if sink.Tracing() {
@@ -211,7 +222,7 @@ func decodePending(flat []float64, nv, dim int, kind string, id func(int) string
 	return msgs, nil
 }
 
-// reviver is the fault-injection surface the supervisor needs: which nodes
+// reviver is the fault-injection surface the respawn supervisor needs: which nodes
 // are scheduled to come back after a crash, and whether a node's outage has
 // ended. *transport.FaultyNetwork implements it.
 type reviver interface {

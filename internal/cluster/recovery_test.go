@@ -12,6 +12,7 @@ import (
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/model"
+	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
@@ -29,25 +30,29 @@ func TestPendingStashRoundtrip(t *testing.T) {
 	v := func(base float64) []float64 { return []float64{base, base + 1, base + 2} }
 	msgs := []transport.Message{
 		{
-			From: WorkerID(0, 2), Kind: KindEdgeReport, Round: 6,
+			From: WorkerID(0, 2), Kind: KindTierReport, Round: 6,
 			Vectors: [][]float64{v(1), v(10), v(20), v(30)},
 			Scalars: map[string]float64{ScalarLoss: 0.5},
 		},
-		{From: "bogus", Kind: KindEdgeReport, Round: 6, Vectors: [][]float64{v(0), v(0), v(0), v(0)}},
-		{From: WorkerID(0, 1), Kind: KindEdgeReport, Round: 8, Vectors: [][]float64{v(2), v(3)}}, // wrong arity
+		{From: "bogus", Kind: KindTierReport, Round: 6, Vectors: [][]float64{v(0), v(0), v(0), v(0)}},
+		{From: WorkerID(0, 1), Kind: KindTierReport, Round: 8, Vectors: [][]float64{v(2), v(3)}}, // wrong arity
 		{
-			From: WorkerID(0, 0), Kind: KindEdgeReport, Round: 8,
+			From: WorkerID(0, 0), Kind: KindTierReport, Round: 8,
 			Vectors: [][]float64{v(4), v(5), v(6), v(7)},
 			Scalars: map[string]float64{ScalarLoss: 1.25},
 		},
 	}
-	flat := encodePending(msgs, 4, dim, parseWorkerIndex)
+	topo := topology.ThreeTier([]int{3}, 1, 1)
+	flat := encodePending(msgs, 4, dim, func(id string) (int, error) {
+		_, idx, err := topo.ParseNodeID(id)
+		return idx, err
+	})
 	// Two well-formed records survive; the malformed sender and wrong-arity
 	// messages are dropped, as admission would drop them after a resume.
 	if wantLen := 2 * (3 + 4*dim); len(flat) != wantLen {
 		t.Fatalf("encoded length %d, want %d", len(flat), wantLen)
 	}
-	out, err := decodePending(flat, 4, dim, KindEdgeReport, func(i int) string { return WorkerID(0, i) })
+	out, err := decodePending(flat, 4, dim, KindTierReport, func(i int) string { return WorkerID(0, i) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,7 @@ func TestPendingStashRoundtrip(t *testing.T) {
 		t.Errorf("second record = %+v", out[1])
 	}
 	for r, msg := range out {
-		if msg.Kind != KindEdgeReport || len(msg.Vectors) != 4 {
+		if msg.Kind != KindTierReport || len(msg.Vectors) != 4 {
 			t.Fatalf("record %d malformed: %+v", r, msg)
 		}
 	}
@@ -69,12 +74,12 @@ func TestPendingStashRoundtrip(t *testing.T) {
 		t.Errorf("vector payloads scrambled: %v / %v", out[0].Vectors[3], out[1].Vectors[0])
 	}
 
-	if _, err := decodePending(flat[:len(flat)-1], 4, dim, KindEdgeReport, EdgeID); err == nil {
+	if _, err := decodePending(flat[:len(flat)-1], 4, dim, KindTierReport, EdgeID); err == nil {
 		t.Error("truncated stash accepted")
 	}
 	bad := append([]float64(nil), flat...)
 	bad[0] = 6.5 // non-integral round
-	if _, err := decodePending(bad, 4, dim, KindEdgeReport, EdgeID); err == nil {
+	if _, err := decodePending(bad, 4, dim, KindTierReport, EdgeID); err == nil {
 		t.Error("non-integral round accepted")
 	}
 }

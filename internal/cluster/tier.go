@@ -3,150 +3,24 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"hieradmo/internal/checkpoint"
 	"hieradmo/internal/core"
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
+	"hieradmo/internal/membership"
 	"hieradmo/internal/model"
 	"hieradmo/internal/rng"
 	"hieradmo/internal/robust"
 	"hieradmo/internal/telemetry"
 	"hieradmo/internal/tensor"
-	"hieradmo/internal/topology"
 	"hieradmo/internal/transport"
 )
 
-// treeSpec is the precomputed static shape of an N-tier run, shared by every
-// node: the validated topology, the flattened leaf shards, the data-size
-// child weights of every aggregating node, and each level's resolved
-// momentum configuration. It is pure derived data — building one performs no
-// I/O and every process of a multi-process deployment derives the identical
-// spec from the shared config and topology.
-type treeSpec struct {
-	topo *topology.Topology
-	cfg  *fl.Config
-	// shards holds the training leaves' datasets, cfg.Edges flattened in
-	// order: the tree regroups the same shards under its own fanout.
-	shards []*dataset.Dataset
-	// weights[i][j][c] is the data weight of child c under node j of
-	// aggregating level i: the child subtree's sample count over the
-	// node's. At the leaf-parent these are exactly the harness
-	// WorkerWeights (D(i,ℓ)/Dℓ), and at the root over a 3-tier shape
-	// exactly the EdgeWeights (Dℓ/D), so matched shapes aggregate with
-	// bit-identical coefficients.
-	weights [][][]float64
-	// gamma[i]/adapt[i] are level i's resolved momentum factor and
-	// adaptive-γℓ toggle; momentum[i] marks levels that execute the
-	// Algorithm 1 line-13 momentum update at all. Non-momentum levels
-	// (γℓ = 0, not adaptive) keep the plain-average arithmetic of the
-	// original cloud, bit for bit.
-	gamma    []float64
-	adapt    []bool
-	momentum []bool
-}
-
-// newTreeSpec validates a topology against the run config and resolves the
-// per-level configuration.
-func newTreeSpec(cfg *fl.Config, opts Options) (*treeSpec, error) {
-	topo := opts.Topology
-	if err := topo.Validate(); err != nil {
-		return nil, err
-	}
-	if err := topo.AlignsWith(cfg.T); err != nil {
-		return nil, err
-	}
-	if topo.NumLeaves() != cfg.NumWorkers() {
-		return nil, fmt.Errorf("cluster: topology %q has %d leaves for %d configured workers",
-			topo, topo.NumLeaves(), cfg.NumWorkers())
-	}
-	ts := &treeSpec{topo: topo, cfg: cfg}
-	for _, edge := range cfg.Edges {
-		ts.shards = append(ts.shards, edge...)
-	}
-	depth := topo.Depth()
-	// Subtree sample counts, integer-exact, leaves up.
-	sizes := make([][]int, depth)
-	sizes[depth-1] = make([]int, len(ts.shards))
-	for j, shard := range ts.shards {
-		sizes[depth-1][j] = shard.Len()
-	}
-	for i := depth - 2; i >= 0; i-- {
-		fan := topo.Levels[i+1].Fanout
-		sizes[i] = make([]int, topo.Width(i))
-		for j := range sizes[i] {
-			for c := 0; c < fan; c++ {
-				sizes[i][j] += sizes[i+1][j*fan+c]
-			}
-		}
-	}
-	ts.weights = make([][][]float64, depth-1)
-	for i := 0; i < depth-1; i++ {
-		fan := topo.Levels[i+1].Fanout
-		ts.weights[i] = make([][]float64, topo.Width(i))
-		for j := range ts.weights[i] {
-			if sizes[i][j] == 0 {
-				return nil, fmt.Errorf("cluster: topology node %s covers no samples", topo.NodeID(i, j))
-			}
-			w := make([]float64, fan)
-			for c := range w {
-				w[c] = float64(sizes[i+1][j*fan+c]) / float64(sizes[i][j])
-			}
-			ts.weights[i][j] = w
-		}
-	}
-	lp := topo.LeafParent()
-	ts.gamma = make([]float64, depth-1)
-	ts.adapt = make([]bool, depth-1)
-	ts.momentum = make([]bool, depth-1)
-	for i := 0; i < depth-1; i++ {
-		lv := topo.Levels[i]
-		if lv.HasGamma {
-			ts.gamma[i] = lv.Gamma
-		} else if i == lp {
-			ts.gamma[i] = cfg.GammaEdge
-		}
-		if i == lp {
-			if lv.HasAdapt {
-				ts.adapt[i] = lv.Adapt
-			} else {
-				ts.adapt[i] = opts.Adaptive
-			}
-		}
-		ts.momentum[i] = ts.adapt[i] || ts.gamma[i] != 0
-	}
-	return ts, nil
-}
-
-func (ts *treeSpec) depth() int      { return ts.topo.Depth() }
-func (ts *treeSpec) leafParent() int { return ts.topo.LeafParent() }
-func (ts *treeSpec) tau(i int) int   { return ts.topo.Levels[i].Tau }
-
-// fanout returns the number of children per node at aggregating level i.
-func (ts *treeSpec) fanout(i int) int { return ts.topo.Levels[i+1].Fanout }
-
-// childID returns the transport ID of child c of node j at level i.
-func (ts *treeSpec) childID(i, j, c int) string {
-	return ts.topo.NodeID(i+1, j*ts.fanout(i)+c)
-}
-
-// parentID returns the transport ID of the parent of node j at level i.
-func (ts *treeSpec) parentID(i, j int) string {
-	return ts.topo.NodeID(i-1, j/ts.topo.Levels[i].Fanout)
-}
-
-// leafSampler keys the training leaf's mini-batch stream by its (parent,
-// position) coordinates, the tree generalization of the harness's (edge,
-// worker) keying: a 3-tier topology matching the config shape reproduces the
-// simulation's exact batch sequences.
-func (ts *treeSpec) leafSampler(j int) *rng.RNG {
-	fan := ts.fanout(ts.leafParent())
-	return fl.WorkerSampler(ts.cfg.Seed, j/fan, j%fan)
-}
-
-// tierNode is one aggregating node of an N-tier run, parameterized by its
-// level: it collects child reports every τℓ iterations, applies the level's
+// tierNode is one aggregating node of a run, parameterized by its level: it
+// collects child reports every τℓ iterations, applies the level's
 // aggregation rule and momentum update, redistributes the result, and — on
 // every level but the root — synchronizes with its own parent every
 // τ_{ℓ−1}/τℓ rounds. The root additionally owns the accuracy curve and the
@@ -154,12 +28,11 @@ func (ts *treeSpec) leafSampler(j int) *rng.RNG {
 //
 // Two collection semantics exist, chosen by what the children are. The
 // leaf-parent level collects training-leaf reports and renormalizes data
-// weights over the survivors of a partial round — the original edge
-// behavior. Every other level's children are aggregators with durable state,
-// so a missing child's last report is substituted for at most one
-// consecutive round — the original cloud behavior. Matched 3-tier shapes
-// therefore execute the exact arithmetic of the role-specific cloud/edge
-// implementations, bit for bit.
+// weights over the survivors of a partial round, exactly like the
+// simulation's partial-participation path; under dynamic membership its
+// cohort follows the schedule. Every other level's children are aggregators
+// with durable state, so a missing child's last report is substituted for at
+// most one consecutive round before the run fails fast.
 type tierNode struct {
 	cfg  *fl.Config
 	hn   *fl.Harness
@@ -180,10 +53,14 @@ type tierNode struct {
 	// x0 is the shared initialization, the gauge reference for the Σy
 	// adaptation signal.
 	x0 tensor.Vector
-	// lastLosses holds each child's most recently reported loss.
-	lastLosses []float64
+	// losses holds each child's most recently reported loss, keyed by the
+	// child's index in its level (cohorts change under dynamic membership).
+	losses map[int]float64
 	// pending stashes reports from children running ahead of this node.
 	pending []transport.Message
+	// epoch is the membership epoch of the last snapshotted round, persisted
+	// so a resume can verify it restores the adapted tree.
+	epoch int
 	// agg is the level's robust aggregation rule, nil for plain mean (the
 	// bit-exact WeightedSum path). prevY/prevX are the deviation references
 	// at non-momentum levels, where the previous state would otherwise be
@@ -202,25 +79,25 @@ type tierNode struct {
 	weightedLoss float64
 }
 
-func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *tierNode {
+func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, ep transport.Endpoint, opts Options) (*tierNode, error) {
 	n := &tierNode{
-		cfg:        cfg,
-		hn:         hn,
-		ts:         ts,
-		lvl:        lvl,
-		idx:        idx,
-		ep:         ep,
-		opts:       opts,
-		yMinus:     x0.Clone(),
-		yPlus:      x0.Clone(),
-		yPlusNext:  tensor.NewVector(len(x0)),
-		xPlus:      x0.Clone(),
-		lastY:      x0.Clone(),
-		x0:         x0.Clone(),
-		lastLosses: make([]float64, ts.fanout(lvl)),
+		cfg:       cfg,
+		hn:        hn,
+		ts:        ts,
+		lvl:       lvl,
+		idx:       idx,
+		ep:        ep,
+		opts:      opts,
+		yMinus:    x0.Clone(),
+		yPlus:     x0.Clone(),
+		yPlusNext: tensor.NewVector(len(x0)),
+		xPlus:     x0.Clone(),
+		lastY:     x0.Clone(),
+		x0:        x0.Clone(),
+		losses:    make(map[int]float64),
 	}
 	if lvl != ts.leafParent() {
-		fan := ts.fanout(lvl)
+		fan := len(ts.children[lvl][idx])
 		n.lastYRep = make([]tensor.Vector, fan)
 		n.lastXRep = make([]tensor.Vector, fan)
 		n.missStreak = make([]int, fan)
@@ -229,30 +106,28 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 			n.lastXRep[c] = x0.Clone()
 		}
 	}
-	if n.agg = newAggregator(ts.topo.Levels[lvl].Agg); n.agg != nil && !ts.momentum[lvl] {
+	agg, err := newAggregator(ts.topo.Levels[lvl].Agg)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", n.id(), err)
+	}
+	if n.agg = agg; agg != nil && !ts.momentum[lvl] {
 		n.prevY = tensor.NewVector(len(x0))
 		n.prevX = tensor.NewVector(len(x0))
 	}
-	return n
+	return n, nil
 }
 
-func (n *tierNode) id() string { return n.ts.topo.NodeID(n.lvl, n.idx) }
+func (n *tierNode) id() string { return n.ts.ids[n.lvl][n.idx] }
 
-// childSlot resolves a sender ID to its position under this node.
-func (n *tierNode) childSlot(from string) (int, error) {
-	lvl, idx, err := n.ts.topo.ParseNodeID(from)
+// childSlot resolves a sender ID to its position in children, this node's
+// child list for the round; -1 means a node of the child level that is not
+// a current child.
+func (n *tierNode) childSlot(from string, children []int) (int, error) {
+	idx, err := n.childIndex(from)
 	if err != nil {
-		return 0, fmt.Errorf("cluster: %v", err)
+		return 0, err
 	}
-	if lvl != n.lvl+1 {
-		return 0, fmt.Errorf("cluster: %s got a report from %q of level %d, want level %d",
-			n.id(), from, lvl, n.lvl+1)
-	}
-	pos := idx - n.idx*n.ts.fanout(n.lvl)
-	if pos < 0 || pos >= n.ts.fanout(n.lvl) {
-		return 0, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), from)
-	}
-	return pos, nil
+	return slices.Index(children, idx), nil
 }
 
 // nvPerReport is the vector count a child report carries: training leaves
@@ -265,10 +140,9 @@ func (n *tierNode) nvPerReport() int {
 }
 
 // initCheckpoint binds the node's aggregation state to its snapshot registry
-// (the topology string is part of the fingerprint, so snapshots never cross
-// tree shapes) and applies the Resume option.
+// and applies the Resume option.
 func (n *tierNode) initCheckpoint() (int, error) {
-	reg, err := nodeRegistry(n.cfg, n.opts, n.id())
+	reg, err := nodeRegistry(n.cfg, n.ts.topo, n.opts, n.id())
 	if err != nil || reg == nil {
 		return 0, err
 	}
@@ -276,11 +150,14 @@ func (n *tierNode) initCheckpoint() (int, error) {
 	reg.Vector("yPlus", n.yPlus)
 	reg.Vector("xPlus", n.xPlus)
 	reg.Vector("lastY", n.lastY)
-	reg.Vector("lastLosses", n.lastLosses)
+	reg.Dynamic("losses", n.encodeLosses, n.decodeLosses)
 	for c := range n.lastYRep {
 		reg.Vector(fmt.Sprintf("lastY/%d", c), n.lastYRep[c])
 		reg.Vector(fmt.Sprintf("lastX/%d", c), n.lastXRep[c])
 		reg.Int(fmt.Sprintf("missStreak/%d", c), &n.missStreak[c])
+	}
+	if n.ts.memb != nil {
+		reg.Int("membEpoch", &n.epoch)
 	}
 	if n.res != nil {
 		res := n.res
@@ -309,34 +186,83 @@ func (n *tierNode) initCheckpoint() (int, error) {
 				return nil
 			})
 	}
-	nv, dim := n.nvPerReport(), len(n.x0)
-	reg.Dynamic("pending",
-		func() []float64 {
-			return encodePending(n.pending, nv, dim, func(id string) (int, error) { return n.childSlot(id) })
-		},
-		func(flat []float64) error {
-			msgs, err := decodePending(flat, nv, dim, KindTierReport,
-				func(c int) string { return n.ts.childID(n.lvl, n.idx, c) })
-			if err != nil {
-				return err
-			}
-			n.pending = msgs
-			return nil
-		})
+	reg.Dynamic("pending", n.savePending, n.loadPending)
 	n.reg = reg
 	return restoreOrClear(reg, n.opts.Resume, n.opts.Telemetry, n.id())
 }
 
-// redistribute sends the round-k update to every child.
-func (n *tierNode) redistribute(k int) error {
+// savePending and loadPending snapshot the ride-ahead stash, keying each
+// sender by its index in the child level.
+func (n *tierNode) savePending() []float64 {
+	return encodePending(n.pending, n.nvPerReport(), len(n.x0), n.childIndex)
+}
+
+func (n *tierNode) loadPending(flat []float64) error {
+	msgs, err := decodePending(flat, n.nvPerReport(), len(n.x0), KindTierReport, n.childName)
+	if err != nil {
+		return err
+	}
+	n.pending = msgs
+	return nil
+}
+
+// childIndex and childName map between the IDs of the child level's nodes
+// and their indices; an out-of-range index names nobody and fails admission.
+func (n *tierNode) childIndex(id string) (int, error) {
+	at, ok := n.ts.at[id]
+	if !ok || at.lvl != n.lvl+1 {
+		return 0, fmt.Errorf("cluster: %q is not a node of level %d", id, n.lvl+1)
+	}
+	return at.idx, nil
+}
+
+func (n *tierNode) childName(idx int) string {
+	if ids := n.ts.ids[n.lvl+1]; idx < len(ids) {
+		return ids[idx]
+	}
+	return ""
+}
+
+// encodeLosses flattens the loss cache as [child, loss] pairs in child
+// order for snapshotting.
+func (n *tierNode) encodeLosses() []float64 {
+	keys := make([]int, 0, len(n.losses))
+	for c := range n.losses {
+		keys = append(keys, c)
+	}
+	slices.Sort(keys)
+	out := make([]float64, 0, 2*len(keys))
+	for _, c := range keys {
+		out = append(out, float64(c), n.losses[c])
+	}
+	return out
+}
+
+func (n *tierNode) decodeLosses(flat []float64) error {
+	if len(flat)%2 != 0 {
+		return fmt.Errorf("loss cache holds %d values, not pairs", len(flat))
+	}
+	n.losses = make(map[int]float64, len(flat)/2)
+	for off := 0; off < len(flat); off += 2 {
+		n.losses[int(flat[off])] = flat[off+1]
+	}
+	return nil
+}
+
+// redistribute sends the round-k update to every child; resend marks a
+// resume's repeat of the snapshotted round.
+func (n *tierNode) redistribute(k int, resend bool) error {
 	update := transport.Message{
 		Kind:    KindTierUpdate,
 		Round:   k * n.ts.tau(n.lvl),
 		Vectors: [][]float64{n.yMinus, n.xPlus},
 	}
-	for c := 0; c < n.ts.fanout(n.lvl); c++ {
-		if err := n.ep.Send(n.ts.childID(n.lvl, n.idx, c), update); err != nil {
-			return fmt.Errorf("cluster: %s redistribute to child %d: %w", n.id(), c, err)
+	if n.ts.memb != nil && n.lvl == n.ts.leafParent() {
+		return n.redistributeCohort(k, update, resend)
+	}
+	for _, c := range n.ts.children[n.lvl][n.idx] {
+		if err := n.ep.Send(n.ts.ids[n.lvl+1][c], update); err != nil {
+			return fmt.Errorf("cluster: %s redistribute to %s: %w", n.id(), n.ts.ids[n.lvl+1][c], err)
 		}
 	}
 	return nil
@@ -348,21 +274,24 @@ func (n *tierNode) run() (*fl.Result, error) {
 	tau := n.ts.tau(n.lvl)
 	numRounds := n.cfg.T / tau
 	if n.lvl == 0 {
-		name := "HierAdMo/tree"
-		if !n.ts.adapt[n.ts.leafParent()] {
-			name = "HierAdMo-R/tree"
-		}
-		n.res = n.hn.NewResult(name)
+		n.res = n.hn.NewResult(n.ts.alg)
 	}
 	start, err := n.initCheckpoint()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s: %w", n.id(), err)
 	}
 	if start > 0 {
+		if m := n.ts.memb; m != nil && n.epoch != m.sched.EpochIndex(n.ts.leafRound(n.lvl, start)) {
+			return nil, fmt.Errorf("cluster: %s resume at round %d: snapshot epoch %d, schedule says %d: membership schedule divergence",
+				n.id(), start, n.epoch, m.sched.EpochIndex(n.ts.leafRound(n.lvl, start)))
+		}
 		// The snapshot precedes its round's redistribution, so re-send that
 		// round's update on resume: children already past it discard the
 		// duplicate as stale, children still waiting adopt it and catch up.
-		if err := n.redistribute(start); err != nil {
+		if err := n.redistribute(start, true); err != nil {
+			return nil, fmt.Errorf("cluster: %s resume: %w", n.id(), err)
+		}
+		if err := n.announceRetier(start, true); err != nil {
 			return nil, fmt.Errorf("cluster: %s resume: %w", n.id(), err)
 		}
 	}
@@ -390,6 +319,10 @@ func (n *tierNode) run() (*fl.Result, error) {
 					return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
 				}
 				if r := adopted / tau; r > k {
+					// The parent moved on without this node (a lost update or
+					// report left it a sync behind); jump to the adopted round
+					// so it rejoins the parent's cadence instead of trailing —
+					// and having every report rejected as stale — forever.
 					n.rec.fastforward(n.id(), k*tau, adopted)
 					k = r
 				}
@@ -407,17 +340,24 @@ func (n *tierNode) run() (*fl.Result, error) {
 				n.recordEval(k*tau, acc, n.weightedLoss, false)
 			}
 		}
-		// Settle lastY and snapshot BEFORE the redistribution, mirroring the
-		// 3-tier runtime: a resumed node re-sends the snapshotted round's
-		// update, so children can never be stranded waiting on one that died
-		// with this process.
+		// Settle lastY and snapshot BEFORE the redistribution: a resumed node
+		// re-sends the snapshotted round's update, so children can never be
+		// stranded waiting on one that died with this process. (lastY only
+		// feeds the next round's velocity signal, so refreshing it ahead of
+		// the sends changes no message.)
 		if err := n.lastY.CopyFrom(n.yMinus); err != nil {
 			return nil, err
+		}
+		if m := n.ts.memb; m != nil {
+			n.epoch = m.sched.EpochIndex(n.ts.leafRound(n.lvl, k))
 		}
 		if err := saveSnapshot(n.reg, k, n.opts.Telemetry, n.id()); err != nil {
 			return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
 		}
-		if err := n.redistribute(k); err != nil {
+		if err := n.redistribute(k, false); err != nil {
+			return nil, err
+		}
+		if err := n.announceRetier(k, false); err != nil {
 			return nil, err
 		}
 	}
@@ -483,14 +423,19 @@ func (n *tierNode) adoptParentUpdate(msg transport.Message, want int) (int, erro
 	return 0, nil
 }
 
-// collectLeafReports is the leaf-parent collection: the original edge
-// behavior. Strict mode requires the full cohort within RecvTimeout; quorum
-// mode grants stragglers StragglerDeadline of grace from quorum attainment,
-// then proceeds with the survivors. Duplicates and stale rounds are rejected
-// and counted; future-round reports (leaves that rode out a lost update) are
-// stashed in quorum mode.
+// collectLeafReports is the leaf-parent collection. Strict mode requires the
+// round's full cohort within RecvTimeout; quorum mode grants stragglers
+// StragglerDeadline of grace from quorum attainment (anchoring the grace at
+// quorum rather than at collection start keeps it from being consumed by
+// upstream tiers' own waits), then proceeds with the survivors. Duplicates
+// and stale rounds are rejected and counted; future-round reports (leaves
+// that rode out a lost update) are stashed in quorum mode. Under dynamic
+// membership the cohort — and with it the quorum denominator — is the
+// round's live cohort from the schedule. The returned slots and sorted
+// present indices are positions in that cohort.
 func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, error) {
-	numChildren := n.ts.fanout(n.lvl)
+	cohort := n.ts.layoutAt(n.lvl, k).children[n.lvl][n.idx]
+	numChildren := len(cohort)
 	want := k * n.ts.tau(n.lvl)
 	quorum := numChildren
 	if n.opts.tolerant() {
@@ -508,7 +453,7 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 			case msg.Round < want:
 				n.rec.stale(n.id())
 			default:
-				ok, err := n.admitLeafReport(msg, reports, seen)
+				ok, err := n.admitLeafReport(msg, cohort, reports, seen)
 				if err != nil {
 					return 0, nil, nil, err
 				}
@@ -521,6 +466,9 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 	}
 	deadline := n.opts.now().Add(n.opts.RecvTimeout)
 	if n.opts.tolerant() {
+		// A silent cohort may be riding out a lost update for up to a full
+		// RecvTimeout of its own; wait one straggler grace beyond that
+		// horizon so their recovery reports are not missed by a hair.
 		deadline = deadline.Add(n.opts.StragglerDeadline)
 	}
 	var stragglerBy time.Time
@@ -548,7 +496,13 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 			}
 			return 0, nil, nil, err
 		}
-		if msg.Kind == KindTierUpdate {
+		switch msg.Kind {
+		case KindReassign:
+			if err := n.checkReassign(msg); err != nil {
+				return 0, nil, nil, err
+			}
+			continue
+		case KindTierUpdate:
 			adopted, err := n.adoptParentUpdate(msg, want)
 			if err != nil || adopted > 0 {
 				return adopted, nil, nil, err
@@ -570,7 +524,7 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 			return 0, nil, nil, fmt.Errorf("cluster: report from %q for future round %d (want %d)",
 				msg.From, msg.Round, want)
 		}
-		ok, err := n.admitLeafReport(msg, reports, seen)
+		ok, err := n.admitLeafReport(msg, cohort, reports, seen)
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -588,23 +542,36 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 	return 0, reports, idx, nil
 }
 
-// admitLeafReport validates one current-round leaf report and slots it.
-func (n *tierNode) admitLeafReport(msg transport.Message, reports []transport.Message, seen []bool) (bool, error) {
-	i, err := n.childSlot(msg.From)
+// admitLeafReport validates one current-round leaf report and slots it by
+// the sender's position in the round's cohort. Under dynamic membership a
+// report from a leaf outside the cohort (a just-reassigned leaf's report
+// that crossed the boundary) is stale; in a static tree it is a protocol
+// error.
+func (n *tierNode) admitLeafReport(msg transport.Message, cohort []int, reports []transport.Message, seen []bool) (bool, error) {
+	i, err := n.childSlot(msg.From, cohort)
 	if err != nil {
 		return false, err
+	}
+	if i < 0 {
+		if n.ts.memb != nil {
+			n.rec.stale(n.id())
+			return false, nil
+		}
+		return false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
 	}
 	if len(msg.Vectors) != 4 {
 		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want 4",
 			msg.From, len(msg.Vectors))
 	}
 	if seen[i] {
+		// A duplicate must not overwrite the slot while inflating the
+		// reporter count: reject it and keep counting distinct reporters.
 		n.rec.duplicate(n.id())
 		return false, nil
 	}
 	seen[i] = true
 	reports[i] = msg
-	n.lastLosses[i] = msg.Scalars[ScalarLoss]
+	n.losses[cohort[i]] = msg.Scalars[ScalarLoss]
 	return true, nil
 }
 
@@ -615,7 +582,7 @@ func (n *tierNode) admitLeafReport(msg transport.Message, reports []transport.Me
 // The straggler window budgets one grace period per intervening child round
 // plus this node's own.
 func (n *tierNode) collectSubstituted(k int) (int, error) {
-	numChildren := n.ts.fanout(n.lvl)
+	numChildren := len(n.lastYRep)
 	want := k * n.ts.tau(n.lvl)
 	quorum := numChildren
 	if n.opts.tolerant() {
@@ -713,7 +680,7 @@ func (n *tierNode) collectSubstituted(k int) (int, error) {
 		n.missStreak[c]++
 		if n.missStreak[c] > 1 {
 			return 0, fmt.Errorf("cluster: child %s missed %d consecutive rounds of %s: quorum unreachable: %w",
-				n.ts.childID(n.lvl, n.idx, c), n.missStreak[c], n.id(), transport.ErrTimeout)
+				n.ts.ids[n.lvl+1][n.ts.children[n.lvl][n.idx][c]], n.missStreak[c], n.id(), transport.ErrTimeout)
 		}
 	}
 	n.rec.missingTier(n.ts.topo.Levels[n.lvl].Name, n.lvl, want, missing, false)
@@ -724,9 +691,13 @@ func (n *tierNode) collectSubstituted(k int) (int, error) {
 // its state into the standing buffers (they are checkpoint-registered by
 // reference, so the backing arrays must keep holding the live state).
 func (n *tierNode) admitSubReport(msg transport.Message, fresh []bool) (bool, error) {
-	c, err := n.childSlot(msg.From)
+	children := n.ts.children[n.lvl][n.idx]
+	c, err := n.childSlot(msg.From, children)
 	if err != nil {
 		return false, err
+	}
+	if c < 0 {
+		return false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
 	}
 	if len(msg.Vectors) != 2 {
 		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want 2",
@@ -743,7 +714,7 @@ func (n *tierNode) admitSubReport(msg transport.Message, fresh []bool) (bool, er
 	if err := n.lastXRep[c].CopyFrom(msg.Vectors[1]); err != nil {
 		return false, err
 	}
-	n.lastLosses[c] = msg.Scalars[ScalarLoss]
+	n.losses[children[c]] = msg.Scalars[ScalarLoss]
 	return true, nil
 }
 
@@ -757,7 +728,8 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	if sink != nil {
 		aggStart = time.Now()
 	}
-	full := n.ts.weights[n.lvl][n.idx]
+	lay := n.ts.layoutAt(n.lvl, k)
+	children, full := lay.children[n.lvl][n.idx], lay.weights[n.lvl][n.idx]
 	leafP := n.lvl == n.ts.leafParent()
 	var (
 		weights         []float64
@@ -834,9 +806,30 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		}
 		sink.M().EdgeCosine.Set(cos)
 	}
+	// γℓ migration: on the first aggregation after this leaf-parent's cohort
+	// changed (join, leave, or re-tiering), the momentum factor carried from
+	// the old cohort is migrated per the configured policy. Zeroing — the
+	// default — mirrors the paper's obtuse-angle reset: with γℓ = 0 line 13
+	// collapses to the plain average, refreshing the momentum base.
+	if m := n.ts.memb; leafP && m != nil {
+		if frac, changed := m.sched.Overlap(k, n.idx); changed {
+			switch m.policy {
+			case membership.MigrateZero:
+				gamma = 0
+			case membership.MigrateRescale:
+				gamma *= frac
+			}
+			n.rec.migrated(n.id(), k*n.ts.tau(n.lvl), m.policy.String(), gamma)
+		}
+	}
 	if n.lvl == 0 {
 		sink.M().CloudSyncs.Inc()
 		sink.M().Round.Set(float64(k * n.ts.tau(0)))
+		if m := n.ts.memb; m != nil {
+			kl := n.ts.leafRound(0, k)
+			sink.M().MembershipEpoch.Set(float64(m.sched.EpochIndex(kl)))
+			sink.M().LiveWorkers.Set(float64(m.sched.LiveCount(kl)))
+		}
 	} else {
 		sink.M().EdgeAggregations.Inc()
 	}
@@ -893,14 +886,12 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		}
 		if len(st.Rejected) > 0 || len(st.Clipped) > 0 {
 			ids := make([]string, len(ys))
-			if leafP {
-				for j, i := range idx {
-					ids[j] = n.ts.childID(n.lvl, n.idx, i)
+			for j := range ids {
+				c := j
+				if leafP {
+					c = idx[j]
 				}
-			} else {
-				for c := range ids {
-					ids[c] = n.ts.childID(n.lvl, n.idx, c)
-				}
+				ids[j] = n.ts.ids[n.lvl+1][children[c]]
 			}
 			n.rec.robustTier(n.id(), n.ts.topo.Levels[n.lvl].Name, n.lvl,
 				k*n.ts.tau(n.lvl), st, ids)
@@ -921,10 +912,10 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		return err
 	}
 	// The weighted loss over the full child weights: stragglers contribute
-	// their most recently reported value, exactly like the original tiers.
+	// their most recently reported value.
 	n.weightedLoss = 0
-	for c, loss := range n.lastLosses {
-		n.weightedLoss += full[c] * loss
+	for c, child := range children {
+		n.weightedLoss += full[c] * n.losses[child]
 	}
 	if sink != nil {
 		if n.lvl == 0 {
@@ -948,7 +939,7 @@ func (n *tierNode) parentSync(k int) (int, error) {
 		Vectors: [][]float64{n.yMinus, n.xPlus},
 		Scalars: map[string]float64{ScalarLoss: n.weightedLoss},
 	}
-	parent := n.ts.parentID(n.lvl, n.idx)
+	parent := n.ts.ids[n.lvl-1][n.ts.parent[n.lvl][n.idx]]
 	if err := n.ep.Send(parent, report); err != nil {
 		return 0, err
 	}
@@ -972,10 +963,18 @@ func (n *tierNode) parentSync(k int) (int, error) {
 			}
 			return 0, err
 		}
-		// Straggler reports from the round this node already closed can
-		// still trickle in while it waits on its parent.
-		if msg.Kind == KindTierReport {
+		switch msg.Kind {
+		case KindTierReport:
+			// Straggler reports from the round this node already closed can
+			// still trickle in while it waits on its parent.
 			n.rec.stale(n.id())
+			continue
+		case KindReassign:
+			// A REASSIGN from an earlier root sync can arrive out of order on
+			// a delaying transport; it is validation-only.
+			if err := n.checkReassign(msg); err != nil {
+				return 0, err
+			}
 			continue
 		}
 		if err := expectKind(msg, KindTierUpdate); err != nil {
@@ -995,28 +994,40 @@ func (n *tierNode) parentSync(k int) (int, error) {
 	}
 }
 
-// treeLeaf is one training leaf of an N-tier run: the exact worker NAG of
-// the 3-tier runtime (Algorithm 1 lines 5–6), reporting its interval state
-// to its parent every leaf-parent period.
+// treeLeaf is one training leaf: it runs the NAG iterations of Algorithm 1
+// lines 5–6 on its own shard — operation for operation the simulation's
+// worker arithmetic — and reports its interval state to its parent every
+// leaf-parent period.
+//
+// In quorum mode a leaf whose redistributed update never arrives keeps
+// training on its local state and rejoins at a later aggregation — the
+// distributed counterpart of a non-participant in the simulation's
+// partial-participation path.
 type treeLeaf struct {
 	cfg     *fl.Config
 	ts      *treeSpec
-	j       int // global leaf index
+	j       int // leaf index within the training level
 	shard   *dataset.Dataset
 	ep      transport.Endpoint
 	opts    Options
 	rec     *faultRecorder
 	reg     *checkpoint.Registry
 	sampler *rng.RNG
-	att     *robust.Attacker
+	// att mutates this leaf's boundary reports when the run's attack plan
+	// marks it Byzantine; nil for honest leaves.
+	att *robust.Attacker
 
 	x, y          tensor.Vector
 	gradSum, ySum tensor.Vector
 	grad          tensor.Vector //flvet:allow ckptstate -- per-step scratch, overwritten by LossGrad before use
 	// yPrev is per-iteration scratch for the NAG extrapolation,
 	// preallocated so step never clones a model-sized vector.
-	yPrev         tensor.Vector //flvet:allow ckptstate -- per-step scratch, refilled from y before use
-	lastLoss      float64
+	yPrev    tensor.Vector //flvet:allow ckptstate -- per-step scratch, refilled from y before use
+	lastLoss float64
+	// syncedThrough is the round of the last adopted update. When an update
+	// arrives for a round ahead of this leaf's own iteration count (the
+	// parent fast-forwarded past rounds a quorum completed without it), the
+	// leaf trains straight through to that round before reporting again.
 	syncedThrough int
 }
 
@@ -1029,7 +1040,7 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 		ep:      ep,
 		opts:    opts,
 		sampler: ts.leafSampler(j),
-		att:     opts.attackerFor(ts.topo.NodeID(ts.depth()-1, j), 4, len(x0)),
+		att:     opts.attackerFor(ts.ids[ts.depth()-1][j], 4, len(x0)),
 		x:       x0.Clone(),
 		y:       x0.Clone(),
 		gradSum: tensor.NewVector(len(x0)),
@@ -1039,10 +1050,14 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 	}
 }
 
-func (w *treeLeaf) id() string { return w.ts.topo.NodeID(w.ts.depth()-1, w.j) }
+func (w *treeLeaf) id() string { return w.ts.ids[w.ts.depth()-1][w.j] }
 
+// initCheckpoint binds the leaf's complete mid-run state — model, momentum,
+// interval accumulators, batch-sampler stream, resync cursor, and attack
+// replay stash — to its snapshot registry and applies the Resume option. It
+// returns the iteration the run should continue after (0 for a fresh start).
 func (w *treeLeaf) initCheckpoint() (int, error) {
-	reg, err := nodeRegistry(w.cfg, w.opts, w.id())
+	reg, err := nodeRegistry(w.cfg, w.ts.topo, w.opts, w.id())
 	if err != nil || reg == nil {
 		return 0, err
 	}
@@ -1054,6 +1069,10 @@ func (w *treeLeaf) initCheckpoint() (int, error) {
 	reg.Float("lastLoss", &w.lastLoss)
 	reg.Int("syncedThrough", &w.syncedThrough)
 	if w.att != nil {
+		// The replay stash is the attacker's only mutable state; with it in
+		// the snapshot a resumed Byzantine leaf re-sends exactly the bytes
+		// the uninterrupted run would have (the noise/flip/scale draws are
+		// already pure functions of seed, node, and round).
 		for ci, v := range w.att.PrevVectors() {
 			reg.Vector(fmt.Sprintf("attackPrev%d", ci), v)
 		}
@@ -1068,10 +1087,36 @@ func (w *treeLeaf) run() error {
 	if err != nil {
 		return fmt.Errorf("cluster: %s: %w", w.id(), err)
 	}
-	bTau := w.ts.tau(w.ts.leafParent())
-	parent := w.ts.parentID(w.ts.depth()-1, w.j)
-	for t := start + 1; t <= w.cfg.T; t++ {
+	lp := w.ts.leafParent()
+	bTau := w.ts.tau(lp)
+	// With dynamic membership the leaf's lifetime is its scheduled span: a
+	// late joiner idles until its natal parent ADMITs it with fresh state,
+	// and a planned leaver trains only through its final round.
+	T, memb := w.cfg.T, w.ts.memb
+	if memb != nil {
+		join, last, ok := memb.sched.Span(w.ts.ref(w.j))
+		if !ok {
+			return nil
+		}
+		T = last * bTau
+		if start == 0 && join > 1 {
+			if start, err = w.awaitAdmit(join); err != nil {
+				return err
+			}
+			// Persist the adopted state so a crash between admission and the
+			// first boundary resumes from the join, not from scratch.
+			if err := saveSnapshot(w.reg, start, w.opts.Telemetry, w.id()); err != nil {
+				return fmt.Errorf("cluster: %s: %w", w.id(), err)
+			}
+		}
+	}
+	parent := w.ts.ids[lp][w.ts.parent[lp+1][w.j]]
+	for t := start + 1; t <= T; t++ {
 		if interrupted(w.opts.Interrupt) {
+			// Graceful shutdown: persist the state as of the last completed
+			// iteration. A resumed run replays the rest of the interval from
+			// here — deterministically, since the sampler position is part of
+			// the snapshot — and re-sends the interval report.
 			if err := saveSnapshot(w.reg, t-1, w.opts.Telemetry, w.id()); err != nil {
 				return fmt.Errorf("cluster: %s: %w", w.id(), err)
 			}
@@ -1090,6 +1135,16 @@ func (w *treeLeaf) run() error {
 				return fmt.Errorf("cluster: %s: %w", w.id(), err)
 			}
 			continue
+		}
+		if memb != nil {
+			// Under dynamic membership the parent is whichever leaf-parent
+			// the schedule assigns for this round.
+			p, ok := memb.sched.EdgeOf(t/bTau, w.ts.ref(w.j))
+			if !ok {
+				return fmt.Errorf("cluster: %s has no parent at round %d: membership schedule divergence",
+					w.id(), t/bTau)
+			}
+			parent = w.ts.ids[lp][p]
 		}
 		vecs := [][]float64{w.y, w.x, w.gradSum, w.ySum}
 		if w.att != nil {
@@ -1113,7 +1168,13 @@ func (w *treeLeaf) run() error {
 		if err := w.ep.Send(parent, report); err != nil {
 			return fmt.Errorf("cluster: %s report: %w", w.id(), err)
 		}
-		if err := w.awaitUpdate(t); err != nil {
+		if memb != nil && t == T && T < w.cfg.T {
+			// Planned permanent leave: the final report is aggregated, then
+			// the parent acknowledges with RETIRE and this leaf exits.
+			if err := w.awaitRetire(); err != nil {
+				return err
+			}
+		} else if err := w.awaitUpdate(t); err != nil {
 			return err
 		}
 		// Snapshot after the boundary settles; an interrupt inside
@@ -1128,9 +1189,12 @@ func (w *treeLeaf) run() error {
 }
 
 // awaitUpdate blocks for the parent's redistributed [y, x] after the report
-// at iteration t; the semantics mirror the 3-tier worker exactly (stale
-// skipped, later rounds fast-forwarded to, timeouts ridden out in quorum
-// mode).
+// at iteration t. Updates for an earlier round are stale leftovers and are
+// skipped; an update for a later round means this leaf was left behind by a
+// quorum and resynchronizes to the newer state. In quorum mode a timeout is
+// ridden out: the leaf keeps its local state and continues training. Under
+// dynamic membership a leaf reassigned to a new parent receives its boundary
+// update from that parent as an ADMIT with the same payload.
 func (w *treeLeaf) awaitUpdate(t int) error {
 	deadline := w.opts.now().Add(w.opts.RecvTimeout)
 	for {
@@ -1149,35 +1213,109 @@ func (w *treeLeaf) awaitUpdate(t int) error {
 			}
 			return fmt.Errorf("cluster: %s await update: %w", w.id(), err)
 		}
-		if err := expectKind(msg, KindTierUpdate); err != nil {
-			return err
+		if w.ts.memb == nil || msg.Kind != KindAdmit {
+			if err := expectKind(msg, KindTierUpdate); err != nil {
+				return err
+			}
 		}
 		if msg.Round < t {
 			w.rec.stale(w.id())
 			continue
 		}
-		if len(msg.Vectors) != 2 {
-			return fmt.Errorf("cluster: %s update carries %d vectors, want 2",
-				w.id(), len(msg.Vectors))
-		}
-		if err := w.y.CopyFrom(msg.Vectors[0]); err != nil {
+		if err := w.adopt(msg); err != nil {
 			return err
 		}
-		if err := w.x.CopyFrom(msg.Vectors[1]); err != nil {
-			return err
-		}
-		w.gradSum.Zero()
-		w.ySum.Zero()
 		if msg.Round > t {
 			w.rec.fastforward(w.id(), t, msg.Round)
 		}
-		w.syncedThrough = msg.Round
 		return nil
 	}
 }
 
-// step performs one NAG iteration — operation for operation the 3-tier
-// worker's (and hence the simulation's) arithmetic.
+// adopt takes over the [y, x] state of an update or admission and restarts
+// the interval accumulators.
+func (w *treeLeaf) adopt(msg transport.Message) error {
+	if len(msg.Vectors) != 2 {
+		return fmt.Errorf("cluster: %s update carries %d vectors, want 2", w.id(), len(msg.Vectors))
+	}
+	if err := w.y.CopyFrom(msg.Vectors[0]); err != nil {
+		return err
+	}
+	if err := w.x.CopyFrom(msg.Vectors[1]); err != nil {
+		return err
+	}
+	w.gradSum.Zero()
+	w.ySum.Zero()
+	w.syncedThrough = msg.Round
+	return nil
+}
+
+// awaitAdmit blocks a late joiner until its natal parent admits it into the
+// cohort of its join round, carrying the parent's current [y, x] as starting
+// state. It returns the adopted round (the leaf trains from there). A parent
+// that fast-forwarded past the join round admits with a later round; a plain
+// update covering the join also counts (the parent considered this leaf a
+// member already after a resync).
+func (w *treeLeaf) awaitAdmit(join int) (int, error) {
+	want := (join - 1) * w.ts.tau(w.ts.leafParent())
+	deadline := w.opts.now().Add(w.opts.RecvTimeout)
+	for {
+		wait := deadline.Sub(w.opts.now())
+		if wait <= 0 {
+			return 0, fmt.Errorf("cluster: %s await admit for round %d: %w", w.id(), join, transport.ErrTimeout)
+		}
+		msg, err := recvInterruptible(w.ep, wait, w.opts)
+		if err != nil {
+			if errors.Is(err, transport.ErrTimeout) {
+				continue
+			}
+			return 0, fmt.Errorf("cluster: %s await admit: %w", w.id(), err)
+		}
+		if msg.Kind != KindAdmit && msg.Kind != KindTierUpdate {
+			return 0, fmt.Errorf("cluster: %s got %q from %q while awaiting admit", w.id(), msg.Kind, msg.From)
+		}
+		if msg.Round < want {
+			w.rec.stale(w.id())
+			continue
+		}
+		return msg.Round, w.adopt(msg)
+	}
+}
+
+// awaitRetire blocks a planned leaver until its parent acknowledges that its
+// final report was aggregated. Leftover redistribution traffic is skipped;
+// in quorum mode a missing RETIRE is ridden out (the leaf has nothing left
+// to do either way).
+func (w *treeLeaf) awaitRetire() error {
+	deadline := w.opts.now().Add(w.opts.RecvTimeout)
+	for {
+		wait := deadline.Sub(w.opts.now())
+		if wait <= 0 {
+			if w.opts.tolerant() {
+				w.rec.timeout(w.id())
+				return nil
+			}
+			return fmt.Errorf("cluster: %s await retire: %w", w.id(), transport.ErrTimeout)
+		}
+		msg, err := recvInterruptible(w.ep, wait, w.opts)
+		if err != nil {
+			if errors.Is(err, transport.ErrTimeout) {
+				continue
+			}
+			return fmt.Errorf("cluster: %s await retire: %w", w.id(), err)
+		}
+		switch msg.Kind {
+		case KindRetire:
+			return nil
+		case KindTierUpdate, KindAdmit:
+			w.rec.stale(w.id())
+		default:
+			return fmt.Errorf("cluster: %s got %q from %q while awaiting retire", w.id(), msg.Kind, msg.From)
+		}
+	}
+}
+
+// step performs one NAG iteration (Algorithm 1 lines 5–6).
 func (w *treeLeaf) step() error {
 	batch, err := w.shard.Batch(w.sampler, w.cfg.BatchSize)
 	if err != nil {

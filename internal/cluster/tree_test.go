@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"hieradmo/internal/baseline"
 	"hieradmo/internal/checkpoint"
+	"hieradmo/internal/core"
 	"hieradmo/internal/dataset"
 	"hieradmo/internal/fl"
 	"hieradmo/internal/membership"
@@ -33,7 +35,7 @@ func treeTopo(t *testing.T, spec string) *topology.Topology {
 
 // buildFlatConfig is a leaf-count-parametric config over edge shape `edges`,
 // otherwise identical to buildConfig: same generator, partitions, model, and
-// hyperparameters, so tree and legacy runs share every input bit.
+// hyperparameters.
 func buildFlatConfig(t *testing.T, seed uint64, edges []int) *fl.Config {
 	t.Helper()
 	genCfg := dataset.GenConfig{
@@ -73,13 +75,41 @@ func buildFlatConfig(t *testing.T, seed uint64, edges []int) *fl.Config {
 	}
 }
 
-// TestTreeMatchesLegacy3Tier is the refactor's central regression: a tree
+// sameAsSimulation checks a cluster result against the in-process
+// simulation: the final model must be bit-identical, and the loss agrees to
+// rounding (the tree sums edge-weighted partial sums, the simulation a flat
+// weighted series).
+func sameAsSimulation(t *testing.T, name string, res, ref *fl.Result) {
+	t.Helper()
+	if res.FinalAcc != ref.FinalAcc {
+		t.Errorf("%s: FinalAcc %v != simulation %v (models must be bit-identical)",
+			name, res.FinalAcc, ref.FinalAcc)
+	}
+	if math.Abs(res.FinalLoss-ref.FinalLoss) > 1e-12*(1+math.Abs(ref.FinalLoss)) {
+		t.Errorf("%s: FinalLoss %v != simulation %v", name, res.FinalLoss, ref.FinalLoss)
+	}
+}
+
+// simulate runs the in-process reference for cfg.
+func simulate(t *testing.T, cfg *fl.Config, adaptive bool) *fl.Result {
+	t.Helper()
+	alg := core.New()
+	if !adaptive {
+		alg = core.NewReduced()
+	}
+	ref, err := alg.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestTreeMatchesSimulation3Tier is the engine's central regression: a tree
 // whose shape matches the config's cloud/edge/worker triple must reproduce
-// the role-specific runtime bit for bit — same final model, same loss, same
-// curve — in both the adaptive and reduced modes. The tree engine performs
-// the exact arithmetic the specialized cloud/edge/worker nodes do, so any
-// divergence is an op-order bug.
-func TestTreeMatchesLegacy3Tier(t *testing.T) {
+// core.HierAdMo's final model bit for bit, in both the adaptive and reduced
+// modes, and an explicit spec of that shape must reproduce the default tree
+// exactly — same final model, same loss, same curve.
+func TestTreeMatchesSimulation3Tier(t *testing.T) {
 	for _, adaptive := range []bool{true, false} {
 		name := "adaptive"
 		if !adaptive {
@@ -87,10 +117,11 @@ func TestTreeMatchesLegacy3Tier(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := buildConfig(t, 31, 2)
-			ref, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: adaptive})
+			def, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: adaptive})
 			if err != nil {
 				t.Fatal(err)
 			}
+			sameAsSimulation(t, "default", def, simulate(t, cfg, adaptive))
 			res, err := Run(cfg, transport.NewMemoryNetwork(), Options{
 				Adaptive: adaptive,
 				Topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*2"),
@@ -98,7 +129,7 @@ func TestTreeMatchesLegacy3Tier(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResult(t, "tree-3tier", res, ref)
+			sameResult(t, "tree-3tier", res, def)
 			if res.Algorithm != "HierAdMo/tree" && adaptive {
 				t.Errorf("algorithm = %q", res.Algorithm)
 			}
@@ -106,10 +137,13 @@ func TestTreeMatchesLegacy3Tier(t *testing.T) {
 	}
 }
 
-// TestTreeMatchesLegacyWorkerCounts sweeps the cohort sizes of the golden
-// suite (1, 2, and 8 workers) and, at the widest shape, the TCP transport:
-// matched tree and legacy runs must agree bitwise at every scale.
-func TestTreeMatchesLegacyWorkerCounts(t *testing.T) {
+// TestTreeMatchesSimulationWorkerCounts sweeps the cohort sizes of the
+// golden suite (1, 2, and 8 workers) plus unequal edges ({3,2} and {1,3},
+// expressible only through the tree's explicit child lists), in the
+// adaptive and reduced modes, at worker pools 1/2/8 and over the TCP
+// transport: every run must land on the simulation's final model bit for
+// bit, and an explicit spec must reproduce the default tree exactly.
+func TestTreeMatchesSimulationWorkerCounts(t *testing.T) {
 	cases := []struct {
 		name  string
 		edges []int
@@ -118,31 +152,47 @@ func TestTreeMatchesLegacyWorkerCounts(t *testing.T) {
 		{"workers=1", []int{1}, "cloud:tau=4/edge:tau=2/worker"},
 		{"workers=2", []int{2}, "cloud:tau=4/edge:tau=2/worker*2"},
 		{"workers=8", []int{4, 4}, "cloud:tau=4/edge*2:tau=2/worker*4"},
+		{"edges=3,2", []int{3, 2}, "cloud:tau=4/edge*2:tau=2/worker*3+2"},
+		{"edges=1,3", []int{1, 3}, "cloud:tau=4/edge*2:tau=2/worker*1+3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := buildFlatConfig(t, 67, tc.edges)
-			ref, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(cfg, transport.NewMemoryNetwork(), Options{
-				Adaptive: true,
-				Topology: treeTopo(t, tc.spec),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, tc.name, res, ref)
-			if len(tc.edges) > 1 {
-				tcp, err := Run(cfg, transport.NewTCPNetwork(), Options{
-					Adaptive: true,
-					Topology: treeTopo(t, tc.spec),
-				})
-				if err != nil {
-					t.Fatal(err)
+			for _, adaptive := range []bool{true, false} {
+				mode := "adaptive"
+				if !adaptive {
+					mode = "reduced"
 				}
-				sameResult(t, tc.name+"/tcp", tcp, ref)
+				t.Run(mode, func(t *testing.T) {
+					cfg := buildFlatConfig(t, 67, tc.edges)
+					ref := simulate(t, cfg, adaptive)
+					def, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: adaptive})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameAsSimulation(t, "default", def, ref)
+					res, err := Run(cfg, transport.NewMemoryNetwork(), Options{
+						Adaptive: adaptive,
+						Topology: treeTopo(t, tc.spec),
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, "explicit spec", res, def)
+					for _, workers := range []int{1, 2, 8} {
+						cfg.Workers = workers
+						pooled, err := Run(cfg, transport.NewMemoryNetwork(), Options{Adaptive: adaptive})
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameResult(t, fmt.Sprintf("workers=%d", workers), pooled, def)
+					}
+					cfg.Workers = 0
+					tcp, err := Run(cfg, transport.NewTCPNetwork(), Options{Adaptive: adaptive})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResult(t, "tcp", tcp, def)
+				})
 			}
 		})
 	}
@@ -341,7 +391,7 @@ func TestTreeSignFlipPerTierAttack(t *testing.T) {
 			Adaptive:   true,
 			Telemetry:  telemetry.New(nil, tr),
 			Topology:   treeTopo(t, spec),
-			AttackPlan: byzPlan(t, "signflip:worker-1@1,signflip:worker-5@1"),
+			AttackPlan: byzPlan(t, "signflip:worker-0-1@1,signflip:worker-2-1@1"),
 		})
 		if err != nil {
 			return nil, nil, nil, err
@@ -365,10 +415,6 @@ func TestTreeSignFlipPerTierAttack(t *testing.T) {
 	}
 	if rep.TotalRejected() == 0 {
 		t.Fatal("sign-flip attack survived both robust tiers unrejected")
-	}
-	if rep.RejectedEdge != 0 || rep.RejectedCloud != 0 {
-		t.Errorf("tree run used 3-tier attribution: edge=%d cloud=%d",
-			rep.RejectedEdge, rep.RejectedCloud)
 	}
 	// The attack enters at the leaf-parent (tier 2); any rejection there or
 	// at the region (tier 1) must carry its tier index. The root (tier 0)
@@ -471,27 +517,40 @@ func TestTreeAcrossProcessEntryPoints(t *testing.T) {
 	sameResult(t, "per-node", result, ref)
 }
 
-// TestTreeOptionValidation pins the composition rules: tree runs reject the
-// 3-tier robust options and dynamic membership, and a topology must match
-// the config's leaf count and horizon.
+// TestTreeOptionValidation pins the composition rules: churn, re-tiering,
+// and per-level robust rules all run on an explicit tree, deterministically,
+// while a topology must match the config's leaf count and horizon and carry
+// only valid rules.
 func TestTreeOptionValidation(t *testing.T) {
 	cfg := buildConfig(t, 97, 0)
 	topo := treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*2")
 	cases := []struct {
 		name string
-		opts Options
+		opts func() Options
 	}{
-		{"churn", Options{Topology: topo, ChurnPlan: &membership.Plan{
-			Events: []membership.Event{{Round: 2, Action: membership.ActionLeave, Worker: membership.Ref{Edge: 0, Index: 0}}},
-		}}},
-		{"retier", Options{Topology: topo, RetierEvery: 1}},
-		{"edge-agg", Options{Topology: topo, EdgeAggregator: robust.Spec{Kind: robust.Median}}},
-		{"cloud-agg", Options{Topology: topo, CloudAggregator: robust.Spec{Kind: robust.Median}}},
+		{"churn", func() Options {
+			return Options{Topology: topo, ChurnPlan: &membership.Plan{
+				Events: []membership.Event{{Round: 2, Action: membership.ActionLeave, Worker: membership.Ref{Edge: 0, Index: 0}}},
+			}}
+		}},
+		{"retier", func() Options { return Options{Topology: topo, RetierEvery: 1} }},
+		{"edge-agg", func() Options {
+			return Options{Topology: treeTopo(t, "cloud:tau=4/edge*2:tau=2,agg=median/worker*2")}
+		}},
+		{"cloud-agg", func() Options {
+			return Options{Topology: treeTopo(t, "cloud:tau=4,agg=median/edge*2:tau=2/worker*2")}
+		}},
 	}
 	for _, tc := range cases {
-		if _, err := Run(cfg, transport.NewMemoryNetwork(), tc.opts); err == nil {
-			t.Errorf("%s: invalid combination accepted", tc.name)
+		ref, err := Run(cfg, transport.NewMemoryNetwork(), tc.opts())
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
+		rerun, err := Run(cfg, transport.NewMemoryNetwork(), tc.opts())
+		if err != nil {
+			t.Fatalf("%s rerun: %v", tc.name, err)
+		}
+		sameResult(t, tc.name, rerun, ref)
 	}
 	// Leaf-count mismatch: 8 leaves for a 4-worker config.
 	if _, err := Run(cfg, transport.NewMemoryNetwork(), Options{
@@ -504,5 +563,99 @@ func TestTreeOptionValidation(t *testing.T) {
 		Topology: treeTopo(t, "cloud:tau=16/edge*2:tau=2/worker*2"),
 	}); !errors.Is(err, topology.ErrMisaligned) {
 		t.Errorf("misaligned horizon = %v, want ErrMisaligned", err)
+	}
+	// An out-of-range rule built programmatically must fail, not run mean.
+	bad := treeTopo(t, "cloud:tau=4/edge*2:tau=2/worker*2")
+	bad.Levels[1].Agg = robust.Spec{Kind: robust.Trimmed, Trim: 0.9}
+	if _, err := Run(cfg, transport.NewMemoryNetwork(), Options{Topology: bad}); !errors.Is(err, topology.ErrAttr) {
+		t.Errorf("trimmed(0.9) edge rule = %v, want ErrAttr", err)
+	}
+}
+
+// TestTreeDepth4ChurnInterruptResume composes dynamic membership with the
+// 4-level tree: a late join, a permanent leave, and re-tiering across
+// regions after every root sync. An interrupted run must resume to the
+// uninterrupted result bit for bit.
+func TestTreeDepth4ChurnInterruptResume(t *testing.T) {
+	cfg := buildFlatConfig(t, 79, []int{4, 4})
+	cfg.T = 48
+	dir := t.TempDir()
+	opts := func() Options {
+		plan, err := membership.ParseSpec("join:worker-0-1@3,leave:worker-3-0@9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Options{
+			Adaptive:    true,
+			Topology:    treeTopo(t, depth4Spec),
+			ChurnPlan:   &plan,
+			RetierEvery: 1,
+		}
+	}
+	ref, err := Run(cfg, transport.NewMemoryNetwork(), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := ref.Membership; m == nil || m.Joins != 1 || m.Leaves != 1 || m.Retierings < 1 {
+		t.Fatalf("membership report %+v, want a join, a leave, and an effective re-tiering", m)
+	}
+
+	interrupt := make(chan struct{})
+	stop := make(chan struct{})
+	var watch sync.WaitGroup
+	watch.Add(1)
+	go func() {
+		defer watch.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(2 * time.Millisecond):
+			}
+			if files, _ := filepath.Glob(filepath.Join(dir, "*.ckpt")); len(files) > 0 {
+				close(interrupt)
+				return
+			}
+		}
+	}()
+	iopts := opts()
+	iopts.CheckpointDir = dir
+	iopts.Interrupt = interrupt
+	net := transport.NewFaultyNetwork(transport.NewMemoryNetwork(),
+		transport.FaultPlan{Seed: 4, MaxDelay: 2 * time.Millisecond})
+	_, err = Run(cfg, net, iopts)
+	close(stop)
+	watch.Wait()
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("interrupted run failed with %v, want wrapped ErrInterrupted", err)
+	}
+	ropts := opts()
+	ropts.CheckpointDir = dir
+	ropts.Resume = true
+	res, err := Run(cfg, transport.NewMemoryNetwork(), ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "resumed", res, ref)
+}
+
+// TestLegacySnapshotRefused: snapshots written by the retired three-tier
+// engine carry its fingerprint and must be refused with a typed error.
+func TestLegacySnapshotRefused(t *testing.T) {
+	cfg := buildConfig(t, 103, 0)
+	dir := t.TempDir()
+	mgr, err := checkpoint.NewManager(dir, CloudID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := checkpoint.NewRegistry(mgr, cfg.Fingerprint("cluster/hieradmo")+" adaptive=true")
+	if err := legacy.Save(1); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(cfg, transport.NewMemoryNetwork(), Options{
+		Adaptive: true, CheckpointDir: dir, Resume: true, RecvTimeout: 500 * time.Millisecond,
+	})
+	if !errors.Is(err, ErrLegacySnapshot) || !errors.Is(err, checkpoint.ErrMismatch) {
+		t.Fatalf("resume from a legacy snapshot = %v, want ErrLegacySnapshot", err)
 	}
 }

@@ -74,14 +74,17 @@ func RunByzantine(s Scale) (*Table, error) {
 	run := func(spec robust.Spec, plan *robust.AttackPlan) (*fl.Result, int, error) {
 		reg := telemetry.NewRegistry()
 		sink := telemetry.New(reg, nil)
+		topo, err := cluster.DefaultTopology(cfg).WithRules(spec, spec)
+		if err != nil {
+			return nil, 0, err
+		}
 		net := transport.NewMemoryNetwork()
 		defer net.Close()
 		res, err := cluster.Run(cfg, net, cluster.Options{
-			Adaptive:        true,
-			Telemetry:       sink,
-			AttackPlan:      plan,
-			EdgeAggregator:  spec,
-			CloudAggregator: spec,
+			Adaptive:   true,
+			Telemetry:  sink,
+			AttackPlan: plan,
+			Topology:   topo,
 		})
 		if err != nil {
 			return nil, 0, err

@@ -8,38 +8,23 @@ import (
 
 // AttackReport records a distributed run's Byzantine scenario: how many
 // adversarial updates were injected (by attack kind) and what the robust
-// aggregation layer did about them. A nil AttackReport on a Result means
-// the robust layer never engaged — no attack plan and plain mean
-// aggregation at both tiers.
+// aggregation layer did about them, attributed to the aggregation tree's
+// tier indices (0 = root; in the paper's three-tier tree 0 is the cloud and
+// 1 the edges). A nil AttackReport on a Result means the robust layer never
+// engaged — no attack plan and plain mean aggregation at every tier.
 type AttackReport struct {
 	// Injected maps an attack kind (signflip, scale, noise, replay) to
 	// the number of boundary reports it mutated.
 	Injected map[string]int `json:",omitempty"`
-	// RejectedEdge counts worker reports excluded by edge-tier robust
-	// aggregation (non-finite values or cosine-filter outliers).
-	RejectedEdge int
-	// RejectedCloud counts edge reports excluded by cloud-tier robust
-	// aggregation.
-	RejectedCloud int
-	// Clipped counts updates whose deviation was norm-clipped before
-	// averaging.
-	Clipped int
-	// EdgeAggregator and CloudAggregator are the canonical names of the
-	// rules that ran at each tier (e.g. "median", "trimmed(0.2)").
-	EdgeAggregator  string
-	CloudAggregator string
-
-	// N-tier tree runs (a cluster Topology) attribute robust-layer activity
-	// to tier indices (0 = root) instead of the edge/cloud pair; the fields
-	// above stay zero/empty there and vice versa.
-
 	// RejectedByTier maps a tier index to the number of child reports its
-	// robust aggregations excluded.
+	// robust aggregations excluded (non-finite values or cosine-filter
+	// outliers).
 	RejectedByTier map[int]int `json:",omitempty"`
 	// ClippedByTier maps a tier index to the number of child updates its
-	// robust aggregations norm-clipped.
+	// robust aggregations norm-clipped before averaging.
 	ClippedByTier map[int]int `json:",omitempty"`
-	// TierAggregators lists the canonical rule name per tier, root first.
+	// TierAggregators lists the canonical rule name per aggregating tier
+	// (e.g. "median", "trimmed(0.2)"), root first.
 	TierAggregators []string `json:",omitempty"`
 }
 
@@ -55,13 +40,12 @@ func (a *AttackReport) TotalInjected() int {
 	return n
 }
 
-// TotalRejected sums the rejections across all tiers, whichever attribution
-// the run used.
+// TotalRejected sums the rejections across all tiers.
 func (a *AttackReport) TotalRejected() int {
 	if a == nil {
 		return 0
 	}
-	n := a.RejectedEdge + a.RejectedCloud
+	n := 0
 	for _, c := range a.RejectedByTier {
 		n += c
 	}
@@ -73,7 +57,7 @@ func (a *AttackReport) TotalClipped() int {
 	if a == nil {
 		return 0
 	}
-	n := a.Clipped
+	n := 0
 	for _, c := range a.ClippedByTier {
 		n += c
 	}
@@ -95,11 +79,7 @@ func (a *AttackReport) String() string {
 		return "no attack scenario"
 	}
 	var b strings.Builder
-	if len(a.TierAggregators) > 0 {
-		fmt.Fprintf(&b, "byzantine: tier aggregators %s", strings.Join(a.TierAggregators, "/"))
-	} else {
-		fmt.Fprintf(&b, "byzantine: aggregators edge=%s cloud=%s", a.EdgeAggregator, a.CloudAggregator)
-	}
+	fmt.Fprintf(&b, "byzantine: tier aggregators %s", strings.Join(a.TierAggregators, "/"))
 	if len(a.Injected) > 0 {
 		kinds := make([]string, 0, len(a.Injected))
 		for k := range a.Injected {
@@ -112,14 +92,8 @@ func (a *AttackReport) String() string {
 		}
 		fmt.Fprintf(&b, "\n  injected updates (%d total): %s", a.TotalInjected(), strings.Join(parts, " "))
 	}
-	if a.RejectedEdge > 0 || a.RejectedCloud > 0 {
-		fmt.Fprintf(&b, "\n  rejected updates: %d at edges, %d at cloud", a.RejectedEdge, a.RejectedCloud)
-	}
 	if len(a.RejectedByTier) > 0 {
 		fmt.Fprintf(&b, "\n  rejected updates by tier: %s", formatByTier(a.RejectedByTier))
-	}
-	if a.Clipped > 0 {
-		fmt.Fprintf(&b, "\n  clipped updates: %d", a.Clipped)
 	}
 	if len(a.ClippedByTier) > 0 {
 		fmt.Fprintf(&b, "\n  clipped updates by tier: %s", formatByTier(a.ClippedByTier))

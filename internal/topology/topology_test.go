@@ -126,6 +126,9 @@ func TestParseErrors(t *testing.T) {
 		{"a:tau=1/b/c/d/e/f/g/h/i*2", ErrBounds},                                 // depth > MaxDepth
 		{"cloud:tau=4/worker*100000", ErrBounds},                                 // fanout > MaxFanout
 		{"cloud:tau=4/mid*4096:tau=2/worker*4096", ErrBounds},                    // nodes > MaxNodes
+		{"cloud:tau=4/edge*2+1:tau=2/worker*2", ErrSyntax},                       // counts off the training level
+		{"cloud:tau=4/edge*2:tau=2/worker*2+1+1", ErrSyntax},                     // counts for 3 of 2 parents
+		{"cloud:tau=4/edge*2:tau=2/worker*2+0", ErrSyntax},
 	}
 	for _, tc := range cases {
 		_, err := Parse(tc.spec)
@@ -135,12 +138,53 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadAggRule: a programmatically built spec carrying an
+// out-of-range rule parameter must fail validation, not run plain mean.
+func TestValidateRejectsBadAggRule(t *testing.T) {
+	topo := mustParse(t, "cloud:tau=4/edge*2:tau=2/worker*2")
+	topo.Levels[1].Agg = robust.Spec{Kind: robust.Trimmed, Trim: 0.9}
+	if err := topo.Validate(); !errors.Is(err, ErrAttr) {
+		t.Errorf("Validate with trimmed(0.9) = %v, want ErrAttr", err)
+	}
+}
+
+// TestLeafCounts pins the unequal-cohort form of the training level: it
+// parses, renders canonically (all-equal lists fold into a uniform fanout),
+// and lays children out contiguously.
+func TestLeafCounts(t *testing.T) {
+	topo := mustParse(t, "cloud:tau=4/edge*2:tau=2/worker*3+2")
+	if got := topo.String(); got != "cloud:tau=4/edge*2:tau=2/worker*3+2" {
+		t.Errorf("String = %q", got)
+	}
+	if got := topo.NumLeaves(); got != 5 {
+		t.Errorf("NumLeaves = %d, want 5", got)
+	}
+	if lo, hi := topo.Children(1, 1); lo != 3 || hi != 5 {
+		t.Errorf("Children(1, 1) = [%d, %d), want [3, 5)", lo, hi)
+	}
+	if got := topo.NodeID(2, 3); got != "worker-1-0" {
+		t.Errorf("NodeID(2, 3) = %q, want worker-1-0", got)
+	}
+	if got := mustParse(t, "cloud:tau=4/edge*2:tau=2/worker*2+2").String(); got != "cloud:tau=4/edge*2:tau=2/worker*2" {
+		t.Errorf("equal counts render as %q, want the uniform form", got)
+	}
+	if got := ThreeTier([]int{3, 2}, 2, 2).String(); got != "cloud:tau=4/edge*2:tau=2/worker*3+2" {
+		t.Errorf("ThreeTier({3,2}) = %q", got)
+	}
+	if got := ThreeTier([]int{2, 2}, 2, 2).String(); got != "cloud:tau=4/edge*2:tau=2/worker*2" {
+		t.Errorf("ThreeTier({2,2}) = %q", got)
+	}
+}
+
 func TestNodeIDs(t *testing.T) {
 	topo := mustParse(t, "cloud:tau=8/region*2:tau=4/edge*2:tau=2/worker*2")
-	if got := topo.NodeID(0, 0); got != "cloud-0" {
+	if got := topo.NodeID(0, 0); got != "cloud" {
 		t.Errorf("root id = %q", got)
 	}
-	if got := topo.NodeID(3, 7); got != "worker-7" {
+	if got := topo.NodeID(2, 3); got != "edge-3" {
+		t.Errorf("aggregator id = %q", got)
+	}
+	if got := topo.NodeID(3, 7); got != "worker-3-1" {
 		t.Errorf("leaf id = %q", got)
 	}
 	for i := range topo.Levels {
@@ -152,7 +196,8 @@ func TestNodeIDs(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"", "cloud", "cloud-x", "cloud-1", "worker-8", "tower-0", "worker--1"} {
+	for _, bad := range []string{"", "cloud-0", "cloud-x", "cloud-1", "edge-4", "worker-7",
+		"worker-4-0", "worker-0-2", "worker-0-01", "tower-0", "worker--1", "edge-1-1"} {
 		if _, _, err := topo.ParseNodeID(bad); err == nil {
 			t.Errorf("ParseNodeID(%q) unexpectedly ok", bad)
 		}
