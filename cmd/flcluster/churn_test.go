@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hieradmo/internal/fl"
+	"hieradmo/internal/membership"
 )
 
 func TestRunChurnFlags(t *testing.T) {
@@ -49,11 +50,11 @@ func TestRunChurnPlanFromFile(t *testing.T) {
 	if err := os.WriteFile(planPath, []byte(trace), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	plan, err := loadChurnPlan(planPath)
+	plan, err := membership.LoadPlan(planPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline, err := loadChurnPlan("join:worker-0-1@3,leave:worker-1-0@30")
+	inline, err := membership.LoadPlan("join:worker-0-1@3,leave:worker-1-0@30")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func run(args []string, interrupt <-chan struct{}) error {
 	if *verify && (*dropRate > 0 || len(crashes) > 0) {
 		return fmt.Errorf("-verify requires a fault-free run: bit-equivalence with the simulation only holds without drops or crashes")
 	}
-	churnPlan, err := loadChurnPlan(*churnSpec)
+	churnPlan, err := membership.LoadPlan(*churnSpec)
 	if err != nil {
 		return err
 	}
@@ -214,14 +214,9 @@ func run(args []string, interrupt <-chan struct{}) error {
 		}
 	}
 
-	var s experiment.Scale
-	switch *scaleName {
-	case "bench":
-		s = experiment.BenchScale()
-	case "default":
-		s = experiment.DefaultScale()
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+	s, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		return err
 	}
 	if *seed > 0 {
 		s.Seed = *seed
@@ -341,28 +336,6 @@ func run(args []string, interrupt <-chan struct{}) error {
 		fmt.Println("curve written to", *saveCurve)
 	}
 	return nil
-}
-
-// loadChurnPlan resolves the -churn-plan flag: a path to a churn trace
-// file when one exists at that path, otherwise an inline event spec. Empty
-// means no churn (nil plan).
-func loadChurnPlan(spec string) (*membership.Plan, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	if f, err := os.Open(spec); err == nil {
-		defer f.Close()
-		plan, err := membership.ParseTrace(f)
-		if err != nil {
-			return nil, fmt.Errorf("churn trace %s: %w", spec, err)
-		}
-		return &plan, nil
-	}
-	plan, err := membership.ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &plan, nil
 }
 
 // parseCrashSpec parses a comma-separated "node@round" list, e.g.

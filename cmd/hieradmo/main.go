@@ -51,14 +51,9 @@ func run(args []string) error {
 		return nil
 	}
 
-	var s experiment.Scale
-	switch *scaleName {
-	case "bench":
-		s = experiment.BenchScale()
-	case "default":
-		s = experiment.DefaultScale()
-	default:
-		return fmt.Errorf("unknown scale %q (want bench or default)", *scaleName)
+	s, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		return err
 	}
 	if *train > 0 {
 		s.TrainSamples = *train

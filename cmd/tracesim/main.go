@@ -36,14 +36,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var s experiment.Scale
-	switch *scaleName {
-	case "bench":
-		s = experiment.BenchScale()
-	case "default":
-		s = experiment.DefaultScale()
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+	s, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		return err
 	}
 	if *target > 0 {
 		s.TargetAcc = *target

@@ -16,15 +16,9 @@ import (
 	"hieradmo/internal/transport"
 )
 
-// Network abstracts the transport factories the cluster can run over
-// (transport.MemoryNetwork, transport.TCPNetwork, and transport.FaultyNetwork
-// all satisfy it).
-type Network interface {
-	// Endpoint returns the endpoint for a node ID.
-	Endpoint(id string) (transport.Endpoint, error)
-	// Close tears the network down after the run.
-	Close() error
-}
+// Network is the transport factory a run executes over
+// (transport.MemoryNetwork, transport.TCPNetwork, transport.FaultyNetwork).
+type Network = transport.Network
 
 // DefaultRecvTimeout bounds how long any node waits for a peer message
 // before declaring the run failed; generous because workers legitimately

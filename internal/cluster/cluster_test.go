@@ -168,7 +168,7 @@ func TestClusterRobustToDeliveryDelays(t *testing.T) {
 		t.Fatal(err)
 	}
 	delayed, err := Run(cfg,
-		transport.NewMemoryNetwork(transport.WithDelay(3*time.Millisecond, 7)),
+		transport.NewFaultyNetwork(transport.NewMemoryNetwork(), transport.FaultPlan{Seed: 7, MaxDelay: 3 * time.Millisecond}),
 		Options{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestClusterMessageLossSurfacesAsTimeout(t *testing.T) {
 	cfg := buildConfig(t, 43, 0)
 	cfg.T = 8
 	_, err := Run(cfg,
-		transport.NewMemoryNetwork(transport.WithDropRate(1.0, 11)),
+		transport.NewFaultyNetwork(transport.NewMemoryNetwork(), transport.FaultPlan{Seed: 11, DropRate: 1.0}),
 		Options{Adaptive: true, RecvTimeout: 100 * time.Millisecond})
 	if err == nil {
 		t.Fatal("run with total message loss succeeded")
@@ -250,7 +250,7 @@ func TestClusterPartialLossAlsoTimesOut(t *testing.T) {
 	cfg := buildConfig(t, 113, 0)
 	cfg.T = 8
 	_, err := Run(cfg,
-		transport.NewMemoryNetwork(transport.WithDropRate(0.5, 17)),
+		transport.NewFaultyNetwork(transport.NewMemoryNetwork(), transport.FaultPlan{Seed: 17, DropRate: 0.5}),
 		Options{Adaptive: true, RecvTimeout: 150 * time.Millisecond})
 	if err == nil {
 		t.Fatal("run with 50% loss succeeded")

@@ -60,11 +60,17 @@ func TestOptionsValidate(t *testing.T) {
 // ep, for collection tests that drive one aggregator by hand.
 func edgeTierNode(t *testing.T, cfg *fl.Config, hn *fl.Harness, x0 tensor.Vector, ep transport.Endpoint, opts Options) *tierNode {
 	t.Helper()
+	return tierNodeAt(t, cfg, hn, 1, x0, ep, opts)
+}
+
+// tierNodeAt builds node 0 of level lvl of cfg's default tree.
+func tierNodeAt(t *testing.T, cfg *fl.Config, hn *fl.Harness, lvl int, x0 tensor.Vector, ep transport.Endpoint, opts Options) *tierNode {
+	t.Helper()
 	ts, err := newTreeSpec(cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := newTierNode(cfg, hn, ts, 1, 0, x0, ep, opts)
+	n, err := newTierNode(cfg, hn, ts, lvl, 0, x0, ep, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,70 +79,105 @@ func edgeTierNode(t *testing.T, cfg *fl.Config, hn *fl.Harness, x0 tensor.Vector
 
 // TestEdgeDuplicateReportRejected regression-tests the collection bug where a
 // duplicate report overwrote its slot while inflating the reporter count,
-// leaving a zero-valued Message (nil vectors) in the aggregation.
+// leaving a zero-valued Message (nil vectors) in the aggregation. It covers
+// both collection semantics: the leaf-parent (edge-0, 4-vector leaf reports)
+// and the level above it (the root, 2-vector aggregator reports).
 func TestEdgeDuplicateReportRejected(t *testing.T) {
 	cfg := buildConfig(t, 61, 0)
 	hn, err := fl.NewHarness(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := transport.NewMemoryNetwork()
-	defer net.Close()
-	edgeEP, err := net.Endpoint(EdgeID(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w0, err := net.Endpoint(WorkerID(0, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, err := net.Endpoint(WorkerID(0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	x0 := hn.InitParams()
-	e := edgeTierNode(t, cfg, hn, x0, edgeEP, Options{}.withDefaults())
-	e.rec = newFaultRecorder(nil)
+	cases := []struct {
+		name   string
+		lvl    int
+		node   string
+		from   [2]string
+		round  int
+		nvecs  int
+		substd bool
+	}{
+		{"edge", 1, EdgeID(0), [2]string{WorkerID(0, 0), WorkerID(0, 1)}, cfg.Tau, 4, false},
+		{"root", 0, CloudID, [2]string{EdgeID(0), EdgeID(1)}, cfg.Tau * cfg.Pi, 2, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewMemoryNetwork()
+			defer net.Close()
+			nodeEP, err := net.Endpoint(tc.node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c0, err := net.Endpoint(tc.from[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			c1, err := net.Endpoint(tc.from[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tierNodeAt(t, cfg, hn, tc.lvl, x0, nodeEP, Options{}.withDefaults())
+			n.rec = newFaultRecorder(nil)
 
-	report := func(ep transport.Endpoint) {
-		t.Helper()
-		v := x0.Clone()
-		msg := transport.Message{
-			Kind:    KindTierReport,
-			Round:   cfg.Tau,
-			Vectors: [][]float64{v, v.Clone(), v.Clone(), v.Clone()},
-			Scalars: map[string]float64{ScalarLoss: 1},
-		}
-		if err := ep.Send(EdgeID(0), msg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	report(w0)
-	report(w0) // duplicate: must not count as a second distinct reporter
-	report(w1)
+			report := func(ep transport.Endpoint, mark float64) {
+				t.Helper()
+				vecs := make([][]float64, tc.nvecs)
+				for i := range vecs {
+					v := x0.Clone()
+					v[0] = mark
+					vecs[i] = v
+				}
+				msg := transport.Message{
+					Kind:    KindTierReport,
+					Round:   tc.round,
+					Vectors: vecs,
+					Scalars: map[string]float64{ScalarLoss: 1},
+				}
+				if err := ep.Send(tc.node, msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			report(c0, 1)
+			report(c0, 2) // duplicate: must not count as a second distinct reporter
+			report(c1, 3)
 
-	adopted, reports, idx, err := e.collect(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adopted != 0 {
-		t.Fatalf("adopted = %d, want 0 (no cloud update in flight)", adopted)
-	}
-	if len(idx) != 2 || idx[0] != 0 || idx[1] != 1 {
-		t.Fatalf("idx = %v, want [0 1]", idx)
-	}
-	for _, i := range idx {
-		if len(reports[i].Vectors) != 4 {
-			t.Fatalf("slot %d holds %d vectors (zero-valued duplicate slot?)", i, len(reports[i].Vectors))
-		}
-	}
-	if e.rec.rep.DuplicateReports != 1 {
-		t.Errorf("DuplicateReports = %d, want 1", e.rec.rep.DuplicateReports)
-	}
-	// The aggregation over the collected slots must not touch nil vectors.
-	if err := e.update(reports, idx, 1); err != nil {
-		t.Errorf("update after duplicate: %v", err)
+			adopted, reports, idx, err := n.collect(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if adopted != 0 {
+				t.Fatalf("adopted = %d, want 0 (no parent update in flight)", adopted)
+			}
+			if len(idx) != 2 || idx[0] != 0 || idx[1] != 1 {
+				t.Fatalf("idx = %v, want [0 1]", idx)
+			}
+			for _, i := range idx {
+				if len(reports[i].Vectors) != tc.nvecs {
+					t.Fatalf("slot %d holds %d vectors (zero-valued duplicate slot?)", i, len(reports[i].Vectors))
+				}
+			}
+			if got := reports[0].Vectors[0][0]; got != 1 {
+				t.Errorf("slot 0 holds report %v, want the first (1): the duplicate overwrote it", got)
+			}
+			if n.rec.rep.DuplicateReports != 1 {
+				t.Errorf("DuplicateReports = %d, want 1", n.rec.rep.DuplicateReports)
+			}
+			if tc.substd {
+				// Above the leaf-parent the fresh reports are adopted into the
+				// standing substitution buffers.
+				if n.lastYRep[0][0] != 1 || n.lastXRep[1][0] != 3 {
+					t.Errorf("adopted states y0[0]=%v x1[0]=%v, want 1 and 3", n.lastYRep[0][0], n.lastXRep[1][0])
+				}
+				if n.missStreak[0] != 0 || n.missStreak[1] != 0 {
+					t.Errorf("missStreak = %v after a full round", n.missStreak)
+				}
+			}
+			// The aggregation over the collected slots must not touch nil vectors.
+			if err := n.update(reports, idx, 1); err != nil {
+				t.Errorf("update after duplicate: %v", err)
+			}
+		})
 	}
 }
 

@@ -82,25 +82,22 @@ func (m *membState) flReport() *fl.MembershipReport {
 }
 
 // redistributeCohort is the leaf-parent's redistribution under dynamic
-// membership: the round-k update goes to the round-k+1 cohort. Newcomers —
-// planned joiners and reassigned-in leaves — get it as an ADMIT carrying
-// their starting state, and planned leavers whose final report was just
-// aggregated get a RETIRE. resend marks a resume's repeat of the
-// snapshotted round (transitions are re-announced but not re-counted).
+// membership: the round-k update goes to the round-k+1 cohort. For
+// newcomers — planned joiners and reassigned-in leaves — the update is their
+// starting state, and their admission is recorded here, on the sender.
+// Planned leavers whose final report was just aggregated get a RETIRE.
+// resend marks a resume's repeat of the snapshotted round (transitions are
+// re-announced but not re-counted).
 func (n *tierNode) redistributeCohort(k int, update transport.Message, resend bool) error {
 	sched := n.ts.memb.sched
 	t := k * n.ts.tau(n.lvl)
 	next := min(k+1, sched.K)
 	prev := sched.Cohort(k, n.idx)
 	for _, ref := range sched.Cohort(next, n.idx) {
-		msg := update
-		if next > k && !slices.Contains(prev, ref) {
-			msg.Kind = KindAdmit
-			if !resend {
-				n.rec.joined(n.leafID(ref), t, !slices.Contains(sched.JoinsAt(next), ref))
-			}
+		if next > k && !resend && !slices.Contains(prev, ref) {
+			n.rec.joined(n.leafID(ref), t, !slices.Contains(sched.JoinsAt(next), ref))
 		}
-		if err := n.ep.Send(n.leafID(ref), msg); err != nil {
+		if err := n.ep.Send(n.leafID(ref), update); err != nil {
 			return fmt.Errorf("cluster: %s redistribute to %s: %w", n.id(), n.leafID(ref), err)
 		}
 	}

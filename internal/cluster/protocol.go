@@ -34,16 +34,13 @@ const (
 	// level's [y_ℓ−, x_ℓ+].
 	KindTierUpdate = "tier-update"
 
-	// Dynamic-membership control messages. ADMIT and RETIRE are leaf-parent
-	// → leaf; REASSIGN is root → leaf-parent. None of them carries a
-	// membership *decision* — every node derives the same schedule from the
-	// churn plan, so the messages only synchronize when a transition takes
-	// effect.
+	// Dynamic-membership control messages. RETIRE is leaf-parent → leaf;
+	// REASSIGN is root → leaf-parent. Neither carries a membership
+	// *decision* — every node derives the same schedule from the churn plan,
+	// so the messages only synchronize when a transition takes effect. A
+	// joining or reassigned-in leaf needs no message of its own: the
+	// leaf-parent's KindTierUpdate to the new cohort is its starting state.
 
-	// KindAdmit admits a joining or reassigned-in leaf into a leaf-parent's
-	// cohort. It carries the same [y_ℓ−, x_ℓ+] payload as KindTierUpdate,
-	// giving the newcomer its starting state.
-	KindAdmit = "admit"
 	// KindRetire acknowledges a planned permanent leave after the leaf's
 	// final report was aggregated. No payload.
 	KindRetire = "retire"

@@ -26,8 +26,8 @@ import (
 // τ_{ℓ−1}/τℓ rounds. The root additionally owns the accuracy curve and the
 // run Result.
 //
-// Two collection semantics exist, chosen by what the children are. The
-// leaf-parent level collects training-leaf reports and renormalizes data
+// One receive loop (collect) serves two collection semantics, chosen by what
+// the children are. The leaf-parent level collects training-leaf reports and renormalizes data
 // weights over the survivors of a partial round, exactly like the
 // simulation's partial-participation path; under dynamic membership its
 // cohort follows the schedule. Every other level's children are aggregators
@@ -118,17 +118,6 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 }
 
 func (n *tierNode) id() string { return n.ts.ids[n.lvl][n.idx] }
-
-// childSlot resolves a sender ID to its position in children, this node's
-// child list for the round; -1 means a node of the child level that is not
-// a current child.
-func (n *tierNode) childSlot(from string, children []int) (int, error) {
-	idx, err := n.childIndex(from)
-	if err != nil {
-		return 0, err
-	}
-	return slices.Index(children, idx), nil
-}
 
 // nvPerReport is the vector count a child report carries: training leaves
 // send their two accumulators alongside [y, x].
@@ -391,84 +380,76 @@ func (n *tierNode) recordEval(t int, acc, loss float64, final bool) {
 	}
 }
 
-// collect gathers the round-k child reports under the level's semantics. The
-// third/fourth results (report slots and sorted present indices) are only
-// used at the leaf-parent level; substitution levels adopt reports into
-// their standing lastYRep/lastXRep buffers instead. A positive first result
-// is the round of a parent update adopted mid-collect (the parent moved on
-// without this node); the caller fast-forwards to it.
+// collect gathers the round-k reports of this node's children, one receive
+// loop for every level. Strict mode requires every child within RecvTimeout;
+// quorum mode grants stragglers a grace from quorum attainment (anchoring it
+// at quorum rather than at collection start keeps it from being consumed by
+// upstream tiers' own waits), then proceeds with the survivors. The grace is
+// StragglerDeadline at the leaf-parent; above it, one StragglerDeadline per
+// intervening child round plus this node's own. Duplicates and stale rounds
+// are rejected and counted; future-round reports (children that rode out a
+// lost update) are stashed in quorum mode.
+//
+// What happens to an absent child is the level's semantics. The leaf-parent
+// aggregates over the survivors: its cohort (under dynamic membership the
+// round's live cohort from the schedule) fixes the quorum denominator, and
+// the returned slots and sorted present indices let update renormalize the
+// data weights. Every other level's children are aggregators with durable
+// state: fresh reports are adopted into the standing lastYRep/lastXRep, and a
+// missing child's last report is substituted for at most one consecutive
+// round before the run fails fast.
+//
+// A positive first result is the round of a parent update adopted
+// mid-collect (the parent moved on without this node); the caller
+// fast-forwards to it.
 func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
-	if n.lvl == n.ts.leafParent() {
-		return n.collectLeafReports(k)
-	}
-	adopted, err := n.collectSubstituted(k)
-	return adopted, nil, nil, err
-}
-
-// adoptParentUpdate handles a KindTierUpdate arriving while this node
-// collects child reports. An update for the current round or later means the
-// parent already completed a sync without this node: adopt it (tolerant mode
-// only) and return its round. Stale updates are counted and skipped.
-func (n *tierNode) adoptParentUpdate(msg transport.Message, want int) (int, error) {
-	if n.lvl > 0 && n.opts.tolerant() && msg.Round >= want && len(msg.Vectors) == 2 {
-		if err := n.yMinus.CopyFrom(msg.Vectors[0]); err != nil {
-			return 0, err
-		}
-		if err := n.xPlus.CopyFrom(msg.Vectors[1]); err != nil {
-			return 0, err
-		}
-		return msg.Round, nil
-	}
-	n.rec.stale(n.id())
-	return 0, nil
-}
-
-// collectLeafReports is the leaf-parent collection. Strict mode requires the
-// round's full cohort within RecvTimeout; quorum mode grants stragglers
-// StragglerDeadline of grace from quorum attainment (anchoring the grace at
-// quorum rather than at collection start keeps it from being consumed by
-// upstream tiers' own waits), then proceeds with the survivors. Duplicates
-// and stale rounds are rejected and counted; future-round reports (leaves
-// that rode out a lost update) are stashed in quorum mode. Under dynamic
-// membership the cohort — and with it the quorum denominator — is the
-// round's live cohort from the schedule. The returned slots and sorted
-// present indices are positions in that cohort.
-func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, error) {
-	cohort := n.ts.layoutAt(n.lvl, k).children[n.lvl][n.idx]
-	numChildren := len(cohort)
+	children := n.ts.layoutAt(n.lvl, k).children[n.lvl][n.idx]
+	numChildren := len(children)
 	want := k * n.ts.tau(n.lvl)
+	leafP := n.lvl == n.ts.leafParent()
 	quorum := numChildren
 	if n.opts.tolerant() {
 		quorum = quorumCount(n.opts.MinQuorum, numChildren)
 	}
+	grace := n.opts.StragglerDeadline
+	if !leafP {
+		grace *= time.Duration(n.ts.tau(n.lvl)/n.ts.tau(n.lvl+1) + 1)
+	}
 	reports := make([]transport.Message, numChildren)
-	seen := make([]bool, numChildren)
 	got := 0
-	if len(n.pending) > 0 {
-		keep := n.pending[:0]
-		for _, msg := range n.pending {
-			switch {
-			case msg.Round > want:
-				keep = append(keep, msg)
-			case msg.Round < want:
-				n.rec.stale(n.id())
-			default:
-				ok, err := n.admitLeafReport(msg, cohort, reports, seen)
-				if err != nil {
-					return 0, nil, nil, err
-				}
-				if ok {
-					got++
-				}
+	// report files one child report by round: stale, stashed for a later
+	// collect, or admitted into its slot.
+	report := func(msg transport.Message) error {
+		switch {
+		case msg.Round < want:
+			n.rec.stale(n.id())
+		case msg.Round > want:
+			if !n.opts.tolerant() {
+				return fmt.Errorf("cluster: report from %q for future round %d (want %d)",
+					msg.From, msg.Round, want)
 			}
+			n.pending = append(n.pending, msg)
+		default:
+			ok, err := n.admit(msg, children, reports)
+			if ok {
+				got++
+			}
+			return err
 		}
-		n.pending = keep
+		return nil
+	}
+	stash := n.pending
+	n.pending = nil
+	for _, msg := range stash {
+		if err := report(msg); err != nil {
+			return 0, nil, nil, err
+		}
 	}
 	deadline := n.opts.now().Add(n.opts.RecvTimeout)
 	if n.opts.tolerant() {
-		// A silent cohort may be riding out a lost update for up to a full
+		// A silent child may be riding out a lost update for up to a full
 		// RecvTimeout of its own; wait one straggler grace beyond that
-		// horizon so their recovery reports are not missed by a hair.
+		// horizon so its recovery report is not missed by a hair.
 		deadline = deadline.Add(n.opts.StragglerDeadline)
 	}
 	var stragglerBy time.Time
@@ -476,7 +457,7 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 		var wait time.Duration
 		if got >= quorum {
 			if stragglerBy.IsZero() {
-				stragglerBy = n.opts.now().Add(n.opts.StragglerDeadline)
+				stragglerBy = n.opts.now().Add(grace)
 			}
 			wait = stragglerBy.Sub(n.opts.now())
 			if wait <= 0 {
@@ -485,237 +466,140 @@ func (n *tierNode) collectLeafReports(k int) (int, []transport.Message, []int, e
 		} else {
 			wait = deadline.Sub(n.opts.now())
 			if wait <= 0 {
-				return 0, nil, nil, fmt.Errorf("%d/%d reports (quorum %d): %w",
+				return 0, nil, nil, fmt.Errorf("%d/%d child reports (quorum %d): %w",
 					got, numChildren, quorum, transport.ErrTimeout)
 			}
 		}
 		msg, err := recvInterruptible(n.ep, wait, n.opts)
+		if errors.Is(err, transport.ErrTimeout) {
+			continue
+		}
 		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
 			return 0, nil, nil, err
 		}
 		switch msg.Kind {
 		case KindReassign:
-			if err := n.checkReassign(msg); err != nil {
-				return 0, nil, nil, err
-			}
-			continue
+			err = n.checkReassign(msg)
 		case KindTierUpdate:
-			adopted, err := n.adoptParentUpdate(msg, want)
-			if err != nil || adopted > 0 {
+			var adopted int
+			if adopted, err = n.adoptParentUpdate(msg, want); adopted > 0 {
 				return adopted, nil, nil, err
 			}
-			continue
-		}
-		if err := expectKind(msg, KindTierReport); err != nil {
-			return 0, nil, nil, err
-		}
-		if msg.Round < want {
-			n.rec.stale(n.id())
-			continue
-		}
-		if msg.Round > want {
-			if n.opts.tolerant() {
-				n.pending = append(n.pending, msg)
-				continue
+		default:
+			if err = expectKind(msg, KindTierReport); err == nil {
+				err = report(msg)
 			}
-			return 0, nil, nil, fmt.Errorf("cluster: report from %q for future round %d (want %d)",
-				msg.From, msg.Round, want)
 		}
-		ok, err := n.admitLeafReport(msg, cohort, reports, seen)
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		if ok {
-			got++
-		}
 	}
 	idx := make([]int, 0, got)
-	for i, ok := range seen {
-		if ok {
-			idx = append(idx, i)
+	for c, msg := range reports {
+		switch {
+		case msg.Vectors != nil:
+			idx = append(idx, c)
+			if !leafP {
+				n.missStreak[c] = 0
+				if err := copyState(msg, n.lastYRep[c], n.lastXRep[c]); err != nil {
+					return 0, nil, nil, err
+				}
+			}
+		case !leafP:
+			if n.missStreak[c]++; n.missStreak[c] > 1 {
+				return 0, nil, nil, fmt.Errorf("cluster: child %s missed %d consecutive rounds of %s: quorum unreachable: %w",
+					n.ts.ids[n.lvl+1][children[c]], n.missStreak[c], n.id(), transport.ErrTimeout)
+			}
 		}
 	}
-	n.rec.missingTier(n.ts.topo.Levels[n.lvl].Name, n.lvl, want, numChildren-got, true)
+	n.rec.missingTier(n.ts.topo.Levels[n.lvl].Name, n.lvl, want, numChildren-got, leafP)
 	return 0, reports, idx, nil
 }
 
-// admitLeafReport validates one current-round leaf report and slots it by
-// the sender's position in the round's cohort. Under dynamic membership a
-// report from a leaf outside the cohort (a just-reassigned leaf's report
-// that crossed the boundary) is stale; in a static tree it is a protocol
-// error.
-func (n *tierNode) admitLeafReport(msg transport.Message, cohort []int, reports []transport.Message, seen []bool) (bool, error) {
-	i, err := n.childSlot(msg.From, cohort)
+// admit validates one current-round child report and slots it by the
+// sender's position in children, this node's child list for the round. A
+// leaf-parent under dynamic membership counts a report from a leaf outside
+// the round's cohort (a just-reassigned leaf's report that crossed the
+// boundary) as stale; anywhere else such a report is a protocol error. A
+// duplicate is counted and rejected: it must not overwrite its slot while
+// inflating the reporter count.
+func (n *tierNode) admit(msg transport.Message, children []int, reports []transport.Message) (bool, error) {
+	child, err := n.childIndex(msg.From)
 	if err != nil {
 		return false, err
 	}
-	if i < 0 {
-		if n.ts.memb != nil {
+	c := slices.Index(children, child)
+	if c < 0 {
+		if n.ts.memb != nil && n.lvl == n.ts.leafParent() {
 			n.rec.stale(n.id())
 			return false, nil
 		}
 		return false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
 	}
-	if len(msg.Vectors) != 4 {
-		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want 4",
-			msg.From, len(msg.Vectors))
+	if nv := n.nvPerReport(); len(msg.Vectors) != nv {
+		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want %d",
+			msg.From, len(msg.Vectors), nv)
 	}
-	if seen[i] {
-		// A duplicate must not overwrite the slot while inflating the
-		// reporter count: reject it and keep counting distinct reporters.
+	if reports[c].Vectors != nil {
 		n.rec.duplicate(n.id())
 		return false, nil
 	}
-	seen[i] = true
-	reports[i] = msg
-	n.losses[cohort[i]] = msg.Scalars[ScalarLoss]
+	reports[c] = msg
+	n.losses[children[c]] = msg.Scalars[ScalarLoss]
 	return true, nil
 }
 
-// collectSubstituted is the collection at levels whose children are
-// aggregators: the original cloud behavior. Fresh reports land in the
-// standing lastYRep/lastXRep buffers; a missing child's previous state is
-// substituted for at most one consecutive round before the run fails fast.
-// The straggler window budgets one grace period per intervening child round
-// plus this node's own.
-func (n *tierNode) collectSubstituted(k int) (int, error) {
-	numChildren := len(n.lastYRep)
-	want := k * n.ts.tau(n.lvl)
-	quorum := numChildren
-	if n.opts.tolerant() {
-		quorum = quorumCount(n.opts.MinQuorum, numChildren)
+// adoptParentUpdate handles a KindTierUpdate arriving while this node
+// collects child reports. An update for the current round or later means the
+// parent already completed a sync without this node: adopt it (tolerant mode
+// only) and return its round. Stale updates are counted and skipped.
+func (n *tierNode) adoptParentUpdate(msg transport.Message, want int) (int, error) {
+	if n.lvl > 0 && n.opts.tolerant() && msg.Round >= want {
+		return msg.Round, copyState(msg, n.yMinus, n.xPlus)
 	}
-	fresh := make([]bool, numChildren)
-	got := 0
-	if len(n.pending) > 0 {
-		keep := n.pending[:0]
-		for _, msg := range n.pending {
-			switch {
-			case msg.Round > want:
-				keep = append(keep, msg)
-			case msg.Round < want:
-				n.rec.stale(n.id())
-			default:
-				ok, err := n.admitSubReport(msg, fresh)
-				if err != nil {
-					return 0, err
-				}
-				if ok {
-					got++
-				}
-			}
-		}
-		n.pending = keep
-	}
-	deadline := n.opts.now().Add(n.opts.RecvTimeout)
-	if n.opts.tolerant() {
-		deadline = deadline.Add(n.opts.StragglerDeadline)
-	}
-	childRounds := n.ts.tau(n.lvl) / n.ts.tau(n.lvl+1)
-	var stragglerBy time.Time
-	for got < numChildren {
-		var wait time.Duration
-		if got >= quorum {
-			if stragglerBy.IsZero() {
-				stragglerBy = n.opts.now().Add(time.Duration(childRounds+1) * n.opts.StragglerDeadline)
-			}
-			wait = stragglerBy.Sub(n.opts.now())
-			if wait <= 0 {
-				break
-			}
-		} else {
-			wait = deadline.Sub(n.opts.now())
-			if wait <= 0 {
-				return 0, fmt.Errorf("%d/%d child reports (quorum %d): %w",
-					got, numChildren, quorum, transport.ErrTimeout)
-			}
-		}
-		msg, err := recvInterruptible(n.ep, wait, n.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
-			return 0, err
-		}
-		if msg.Kind == KindTierUpdate {
-			adopted, err := n.adoptParentUpdate(msg, want)
-			if err != nil || adopted > 0 {
-				return adopted, err
-			}
-			continue
-		}
-		if err := expectKind(msg, KindTierReport); err != nil {
-			return 0, err
-		}
-		if msg.Round < want {
-			n.rec.stale(n.id())
-			continue
-		}
-		if msg.Round > want {
-			if n.opts.tolerant() {
-				n.pending = append(n.pending, msg)
-				continue
-			}
-			return 0, fmt.Errorf("cluster: report from %q for future round %d (want %d)",
-				msg.From, msg.Round, want)
-		}
-		ok, err := n.admitSubReport(msg, fresh)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			got++
-		}
-	}
-	missing := 0
-	for c, ok := range fresh {
-		if ok {
-			n.missStreak[c] = 0
-			continue
-		}
-		missing++
-		n.missStreak[c]++
-		if n.missStreak[c] > 1 {
-			return 0, fmt.Errorf("cluster: child %s missed %d consecutive rounds of %s: quorum unreachable: %w",
-				n.ts.ids[n.lvl+1][n.ts.children[n.lvl][n.idx][c]], n.missStreak[c], n.id(), transport.ErrTimeout)
-		}
-	}
-	n.rec.missingTier(n.ts.topo.Levels[n.lvl].Name, n.lvl, want, missing, false)
+	n.rec.stale(n.id())
 	return 0, nil
 }
 
-// admitSubReport validates one current-round aggregator report and adopts
-// its state into the standing buffers (they are checkpoint-registered by
-// reference, so the backing arrays must keep holding the live state).
-func (n *tierNode) admitSubReport(msg transport.Message, fresh []bool) (bool, error) {
-	children := n.ts.children[n.lvl][n.idx]
-	c, err := n.childSlot(msg.From, children)
-	if err != nil {
-		return false, err
-	}
-	if c < 0 {
-		return false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
-	}
+// copyState adopts the [y, x] payload of a parent update or an aggregator
+// report into y and x.
+func copyState(msg transport.Message, y, x tensor.Vector) error {
 	if len(msg.Vectors) != 2 {
-		return false, fmt.Errorf("cluster: report from %q carries %d vectors, want 2",
-			msg.From, len(msg.Vectors))
+		return fmt.Errorf("cluster: %s from %q carries %d vectors, want 2", msg.Kind, msg.From, len(msg.Vectors))
 	}
-	if fresh[c] {
-		n.rec.duplicate(n.id())
-		return false, nil
+	if err := y.CopyFrom(msg.Vectors[0]); err != nil {
+		return err
 	}
-	fresh[c] = true
-	if err := n.lastYRep[c].CopyFrom(msg.Vectors[0]); err != nil {
-		return false, err
+	return x.CopyFrom(msg.Vectors[1])
+}
+
+// await receives on ep until handle accepts a message or RecvTimeout passes,
+// noticing a shutdown request within interruptSlice. Past the deadline it
+// returns transport.ErrTimeout — unless rideOut is set and the run is in
+// quorum mode: then it records the timeout and returns nil, and the caller
+// keeps its local state.
+func await(ep transport.Endpoint, opts Options, rec *faultRecorder, rideOut bool, handle func(transport.Message) (bool, error)) error {
+	deadline := opts.now().Add(opts.RecvTimeout)
+	for {
+		wait := deadline.Sub(opts.now())
+		if wait <= 0 {
+			if rideOut && opts.tolerant() {
+				rec.timeout(ep.ID())
+				return nil
+			}
+			return transport.ErrTimeout
+		}
+		msg, err := recvInterruptible(ep, wait, opts)
+		if errors.Is(err, transport.ErrTimeout) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if done, err := handle(msg); done || err != nil {
+			return err
+		}
 	}
-	if err := n.lastXRep[c].CopyFrom(msg.Vectors[1]); err != nil {
-		return false, err
-	}
-	n.losses[children[c]] = msg.Scalars[ScalarLoss]
-	return true, nil
 }
 
 // update executes the level's aggregation for round k: the Algorithm 1
@@ -929,8 +813,10 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 
 // parentSync reports [y_ℓ−, x_ℓ+] and the level's weighted loss to the
 // parent at a boundary round, then adopts the parent's update. In quorum
-// mode a lost update is ridden out, or — if a later round's update arrives —
-// adopted from there; the returned round lets the caller fast-forward.
+// mode a lost update is ridden out — the parent substitutes this node's last
+// report and the next sync reconverges both sides — or, if a later round's
+// update arrives, adopted from there; the returned round lets the caller
+// fast-forward.
 func (n *tierNode) parentSync(k int) (int, error) {
 	want := k * n.ts.tau(n.lvl)
 	report := transport.Message{
@@ -943,55 +829,33 @@ func (n *tierNode) parentSync(k int) (int, error) {
 	if err := n.ep.Send(parent, report); err != nil {
 		return 0, err
 	}
-	deadline := n.opts.now().Add(n.opts.RecvTimeout)
-	for {
-		wait := deadline.Sub(n.opts.now())
-		if wait <= 0 {
-			if n.opts.tolerant() {
-				// Ride it out: keep local state for this sync; the parent
-				// substitutes this node's last report and the next sync
-				// reconverges both sides.
-				n.rec.timeout(n.id())
-				return 0, nil
-			}
-			return 0, fmt.Errorf("parent update: %w", transport.ErrTimeout)
-		}
-		msg, err := recvInterruptible(n.ep, wait, n.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
-			return 0, err
-		}
+	adopted := 0
+	err := await(n.ep, n.opts, n.rec, true, func(msg transport.Message) (bool, error) {
 		switch msg.Kind {
 		case KindTierReport:
 			// Straggler reports from the round this node already closed can
 			// still trickle in while it waits on its parent.
 			n.rec.stale(n.id())
-			continue
+			return false, nil
 		case KindReassign:
 			// A REASSIGN from an earlier root sync can arrive out of order on
 			// a delaying transport; it is validation-only.
-			if err := n.checkReassign(msg); err != nil {
-				return 0, err
-			}
-			continue
+			return false, n.checkReassign(msg)
 		}
 		if err := expectKind(msg, KindTierUpdate); err != nil {
-			return 0, err
+			return false, err
 		}
 		if msg.Round < want {
 			n.rec.stale(n.id())
-			continue
+			return false, nil
 		}
-		if len(msg.Vectors) != 2 {
-			return 0, fmt.Errorf("cluster: parent update carries %d vectors, want 2", len(msg.Vectors))
-		}
-		if err := n.yMinus.CopyFrom(msg.Vectors[0]); err != nil {
-			return 0, err
-		}
-		return msg.Round, n.xPlus.CopyFrom(msg.Vectors[1])
+		adopted = msg.Round
+		return true, copyState(msg, n.yMinus, n.xPlus)
+	})
+	if err != nil {
+		return 0, fmt.Errorf("parent update: %w", err)
 	}
+	return adopted, nil
 }
 
 // treeLeaf is one training leaf: it runs the NAG iterations of Algorithm 1
@@ -1090,8 +954,9 @@ func (w *treeLeaf) run() error {
 	lp := w.ts.leafParent()
 	bTau := w.ts.tau(lp)
 	// With dynamic membership the leaf's lifetime is its scheduled span: a
-	// late joiner idles until its natal parent ADMITs it with fresh state,
-	// and a planned leaver trains only through its final round.
+	// late joiner idles until its natal parent's first update to its cohort
+	// gives it starting state, and a planned leaver trains only through its
+	// final round.
 	T, memb := w.cfg.T, w.ts.memb
 	if memb != nil {
 		join, last, ok := memb.sched.Span(w.ts.ref(w.j))
@@ -1100,7 +965,10 @@ func (w *treeLeaf) run() error {
 		}
 		T = last * bTau
 		if start == 0 && join > 1 {
-			if start, err = w.awaitAdmit(join); err != nil {
+			// The parent's round-(join−1) update is the newcomer's starting
+			// state; one for a later round means the parent fast-forwarded
+			// past the join.
+			if start, err = w.awaitState((join-1)*bTau, false); err != nil {
 				return err
 			}
 			// Persist the adopted state so a crash between admission and the
@@ -1174,11 +1042,13 @@ func (w *treeLeaf) run() error {
 			if err := w.awaitRetire(); err != nil {
 				return err
 			}
-		} else if err := w.awaitUpdate(t); err != nil {
+		} else if r, err := w.awaitState(t, true); err != nil {
 			return err
+		} else if r > t {
+			w.rec.fastforward(w.id(), t, r)
 		}
 		// Snapshot after the boundary settles; an interrupt inside
-		// awaitUpdate deliberately skips this save so the resumed leaf
+		// awaitState deliberately skips this save so the resumed leaf
 		// replays the interval and re-sends the report, bit-identical to an
 		// uninterrupted run.
 		if err := saveSnapshot(w.reg, t, w.opts.Telemetry, w.id()); err != nil {
@@ -1188,60 +1058,36 @@ func (w *treeLeaf) run() error {
 	return nil
 }
 
-// awaitUpdate blocks for the parent's redistributed [y, x] after the report
-// at iteration t. Updates for an earlier round are stale leftovers and are
-// skipped; an update for a later round means this leaf was left behind by a
-// quorum and resynchronizes to the newer state. In quorum mode a timeout is
-// ridden out: the leaf keeps its local state and continues training. Under
-// dynamic membership a leaf reassigned to a new parent receives its boundary
-// update from that parent as an ADMIT with the same payload.
-func (w *treeLeaf) awaitUpdate(t int) error {
-	deadline := w.opts.now().Add(w.opts.RecvTimeout)
-	for {
-		wait := deadline.Sub(w.opts.now())
-		if wait <= 0 {
-			if w.opts.tolerant() {
-				w.rec.timeout(w.id())
-				return nil
-			}
-			return fmt.Errorf("cluster: %s await update: %w", w.id(), transport.ErrTimeout)
+// awaitState blocks for the parent's [y, x] for round want or later and
+// adopts it, returning the adopted round. Updates for an earlier round are
+// stale leftovers and are skipped; an update for a later round means a
+// quorum left this leaf behind, and it resynchronizes to the newer state.
+// With rideOut a quorum-mode timeout returns 0: the leaf keeps its local
+// state and continues training. Under dynamic membership a reassigned-in
+// leaf gets its boundary update from its new parent the same way.
+func (w *treeLeaf) awaitState(want int, rideOut bool) (int, error) {
+	adopted := 0
+	err := await(w.ep, w.opts, w.rec, rideOut, func(msg transport.Message) (bool, error) {
+		if err := expectKind(msg, KindTierUpdate); err != nil {
+			return false, err
 		}
-		msg, err := recvInterruptible(w.ep, wait, w.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
-			return fmt.Errorf("cluster: %s await update: %w", w.id(), err)
-		}
-		if w.ts.memb == nil || msg.Kind != KindAdmit {
-			if err := expectKind(msg, KindTierUpdate); err != nil {
-				return err
-			}
-		}
-		if msg.Round < t {
+		if msg.Round < want {
 			w.rec.stale(w.id())
-			continue
+			return false, nil
 		}
-		if err := w.adopt(msg); err != nil {
-			return err
-		}
-		if msg.Round > t {
-			w.rec.fastforward(w.id(), t, msg.Round)
-		}
-		return nil
+		adopted = msg.Round
+		return true, w.adopt(msg)
+	})
+	if err != nil {
+		return 0, fmt.Errorf("cluster: %s await update for round %d: %w", w.id(), want, err)
 	}
+	return adopted, nil
 }
 
-// adopt takes over the [y, x] state of an update or admission and restarts
-// the interval accumulators.
+// adopt takes over the [y, x] state of an update and restarts the interval
+// accumulators.
 func (w *treeLeaf) adopt(msg transport.Message) error {
-	if len(msg.Vectors) != 2 {
-		return fmt.Errorf("cluster: %s update carries %d vectors, want 2", w.id(), len(msg.Vectors))
-	}
-	if err := w.y.CopyFrom(msg.Vectors[0]); err != nil {
-		return err
-	}
-	if err := w.x.CopyFrom(msg.Vectors[1]); err != nil {
+	if err := copyState(msg, w.y, w.x); err != nil {
 		return err
 	}
 	w.gradSum.Zero()
@@ -1250,69 +1096,25 @@ func (w *treeLeaf) adopt(msg transport.Message) error {
 	return nil
 }
 
-// awaitAdmit blocks a late joiner until its natal parent admits it into the
-// cohort of its join round, carrying the parent's current [y, x] as starting
-// state. It returns the adopted round (the leaf trains from there). A parent
-// that fast-forwarded past the join round admits with a later round; a plain
-// update covering the join also counts (the parent considered this leaf a
-// member already after a resync).
-func (w *treeLeaf) awaitAdmit(join int) (int, error) {
-	want := (join - 1) * w.ts.tau(w.ts.leafParent())
-	deadline := w.opts.now().Add(w.opts.RecvTimeout)
-	for {
-		wait := deadline.Sub(w.opts.now())
-		if wait <= 0 {
-			return 0, fmt.Errorf("cluster: %s await admit for round %d: %w", w.id(), join, transport.ErrTimeout)
-		}
-		msg, err := recvInterruptible(w.ep, wait, w.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
-			return 0, fmt.Errorf("cluster: %s await admit: %w", w.id(), err)
-		}
-		if msg.Kind != KindAdmit && msg.Kind != KindTierUpdate {
-			return 0, fmt.Errorf("cluster: %s got %q from %q while awaiting admit", w.id(), msg.Kind, msg.From)
-		}
-		if msg.Round < want {
-			w.rec.stale(w.id())
-			continue
-		}
-		return msg.Round, w.adopt(msg)
-	}
-}
-
 // awaitRetire blocks a planned leaver until its parent acknowledges that its
 // final report was aggregated. Leftover redistribution traffic is skipped;
 // in quorum mode a missing RETIRE is ridden out (the leaf has nothing left
 // to do either way).
 func (w *treeLeaf) awaitRetire() error {
-	deadline := w.opts.now().Add(w.opts.RecvTimeout)
-	for {
-		wait := deadline.Sub(w.opts.now())
-		if wait <= 0 {
-			if w.opts.tolerant() {
-				w.rec.timeout(w.id())
-				return nil
-			}
-			return fmt.Errorf("cluster: %s await retire: %w", w.id(), transport.ErrTimeout)
-		}
-		msg, err := recvInterruptible(w.ep, wait, w.opts)
-		if err != nil {
-			if errors.Is(err, transport.ErrTimeout) {
-				continue
-			}
-			return fmt.Errorf("cluster: %s await retire: %w", w.id(), err)
-		}
+	err := await(w.ep, w.opts, w.rec, true, func(msg transport.Message) (bool, error) {
 		switch msg.Kind {
 		case KindRetire:
-			return nil
-		case KindTierUpdate, KindAdmit:
+			return true, nil
+		case KindTierUpdate:
 			w.rec.stale(w.id())
-		default:
-			return fmt.Errorf("cluster: %s got %q from %q while awaiting retire", w.id(), msg.Kind, msg.From)
+			return false, nil
 		}
+		return false, fmt.Errorf("cluster: %s got %q from %q while awaiting retire", w.id(), msg.Kind, msg.From)
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: %s await retire: %w", w.id(), err)
 	}
+	return nil
 }
 
 // step performs one NAG iteration (Algorithm 1 lines 5–6).

@@ -21,6 +21,20 @@ func tinyScale() Scale {
 	}
 }
 
+func TestScaleByName(t *testing.T) {
+	for name, want := range map[string]Scale{"bench": BenchScale(), "default": DefaultScale()} {
+		got, err := ScaleByName(name)
+		if err != nil || got != want {
+			t.Errorf("ScaleByName(%q) = %+v, %v; want %+v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"", "paper", "Bench"} {
+		if _, err := ScaleByName(name); err == nil || !strings.Contains(err.Error(), "unknown scale") {
+			t.Errorf("ScaleByName(%q) = %v, want an unknown-scale error", name, err)
+		}
+	}
+}
+
 func TestScaleValidate(t *testing.T) {
 	if err := BenchScale().Validate(); err != nil {
 		t.Errorf("BenchScale invalid: %v", err)

@@ -92,3 +92,15 @@ func DefaultScale() Scale {
 		Seed:         1,
 	}
 }
+
+// ScaleByName resolves a CLI -scale flag: "bench" is BenchScale and
+// "default" is DefaultScale.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "bench":
+		return BenchScale(), nil
+	case "default":
+		return DefaultScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (want bench or default)", name)
+}

@@ -8,8 +8,9 @@
 // pure function of (plan, re-tier cadence, topology, shard statistics), each
 // node — cloud, edge, or worker, in-process or in its own OS process —
 // precomputes the identical full membership trajectory before the run
-// starts. Control messages (ADMIT/RETIRE/REASSIGN) only synchronize runtime
-// transitions; they never carry decisions. That is what makes churn runs
+// starts. Control messages (RETIRE/REASSIGN) only synchronize runtime
+// transitions; they never carry decisions, and a joiner is admitted by its
+// edge's ordinary tier update. That is what makes churn runs
 // bit-identical across reruns, worker-pool sizes, and transports.
 package membership
 

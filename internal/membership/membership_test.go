@@ -2,6 +2,8 @@ package membership
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -84,6 +86,37 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)
 		}
+	}
+}
+
+func TestLoadPlan(t *testing.T) {
+	if p, err := LoadPlan(""); p != nil || err != nil {
+		t.Fatalf("empty spec = %v, %v; want nil plan", p, err)
+	}
+	path := filepath.Join(t.TempDir(), "plan.trace")
+	if err := os.WriteFile(path, []byte("join worker-0-2 @3\nleave worker-1-1 @7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := LoadPlan(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline, err := LoadPlan("join:worker-0-2@3,leave:worker-1-1@7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromFile.Signature() != inline.Signature() {
+		t.Errorf("trace file parsed to %q, inline spec to %q", fromFile.Signature(), inline.Signature())
+	}
+	bad := filepath.Join(t.TempDir(), "bad.trace")
+	if err := os.WriteFile(bad, []byte("join worker-0-2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPlan(bad); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("malformed trace file = %v, want an error naming the file", err)
+	}
+	if _, err := LoadPlan("hop:worker-0-0@1"); err == nil {
+		t.Error("unknown inline action accepted")
 	}
 }
 

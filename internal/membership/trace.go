@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 )
 
@@ -100,4 +101,26 @@ func parseEvent(action, id, round string) (Event, error) {
 		return Event{}, fmt.Errorf("bad round %q (want a positive integer)", round)
 	}
 	return ev, nil
+}
+
+// LoadPlan resolves a CLI -churn-plan flag: a path to a churn trace file
+// when one exists at that path, otherwise an inline ParseSpec spec. An empty
+// spec means no churn (nil plan).
+func LoadPlan(spec string) (*Plan, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	if f, err := os.Open(spec); err == nil {
+		defer f.Close()
+		plan, err := ParseTrace(f)
+		if err != nil {
+			return nil, fmt.Errorf("churn trace %s: %w", spec, err)
+		}
+		return &plan, nil
+	}
+	plan, err := ParseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return &plan, nil
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"hieradmo/internal/rng"
 )
 
 // inboxSize bounds each node's pending-message queue. The cluster protocol
@@ -16,8 +14,8 @@ import (
 const inboxSize = 64
 
 // MemoryNetwork is an in-process hub connecting named endpoints through
-// buffered channels, with optional failure injection (message drops and
-// delivery delays) for protocol robustness tests.
+// buffered channels. It injects no faults; wrap it in a FaultyNetwork for
+// drops, delays and crashes.
 type MemoryNetwork struct {
 	mu      sync.Mutex
 	inboxes map[string]chan Message
@@ -26,54 +24,11 @@ type MemoryNetwork struct {
 	// endpoint closes, so late joiners cannot shadow a running node.
 	claimed map[string]bool
 	closed  bool
-
-	dropRate float64
-	maxDelay time.Duration
-	faultRNG *rng.RNG
-	stats    FaultStats
-
-	//flvet:allow goexec -- transport-internal lifecycle tracking for injected-delay deliveries; no training data flows through it
-	wg sync.WaitGroup // tracks delayed deliveries
-}
-
-// FaultStats reports how many messages the hub's own injection dropped or
-// delayed.
-func (n *MemoryNetwork) FaultStats() FaultStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
-}
-
-// MemoryOption configures failure injection.
-type MemoryOption func(*MemoryNetwork)
-
-// WithDropRate makes the network silently discard each message with
-// probability p, using the seeded generator for reproducibility.
-func WithDropRate(p float64, seed uint64) MemoryOption {
-	return func(n *MemoryNetwork) {
-		n.dropRate = p
-		n.faultRNG = rng.New(seed)
-	}
-}
-
-// WithDelay delivers each message after a uniform random delay in
-// [0, maxDelay], exercising reordering across sender pairs.
-func WithDelay(maxDelay time.Duration, seed uint64) MemoryOption {
-	return func(n *MemoryNetwork) {
-		n.maxDelay = maxDelay
-		if n.faultRNG == nil {
-			n.faultRNG = rng.New(seed)
-		}
-	}
 }
 
 // NewMemoryNetwork returns an empty hub.
-func NewMemoryNetwork(opts ...MemoryOption) *MemoryNetwork {
-	n := &MemoryNetwork{inboxes: make(map[string]chan Message), claimed: make(map[string]bool)}
-	for _, o := range opts {
-		o(n)
-	}
-	return n
+func NewMemoryNetwork() *MemoryNetwork {
+	return &MemoryNetwork{inboxes: make(map[string]chan Message), claimed: make(map[string]bool)}
 }
 
 // Endpoint registers the endpoint for a node ID. The ID stays claimed until
@@ -100,68 +55,36 @@ func (n *MemoryNetwork) Endpoint(id string) (Endpoint, error) {
 // Close shuts the hub down; all blocked receivers return ErrClosed.
 func (n *MemoryNetwork) Close() error {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
-		n.mu.Unlock()
 		return nil
 	}
 	n.closed = true
 	for _, ch := range n.inboxes {
 		close(ch)
 	}
-	n.mu.Unlock()
-	n.wg.Wait()
 	return nil
 }
 
+// deliver queues msg in its recipient's inbox. The non-blocking send happens
+// under the lock Close takes to close the inboxes, so a send racing Close
+// returns ErrClosed instead of sending on a closed channel.
 func (n *MemoryNetwork) deliver(msg Message) error {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.closed {
-		n.mu.Unlock()
 		return ErrClosed
 	}
 	inbox, ok := n.inboxes[msg.To]
 	if !ok {
-		n.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownNode, msg.To)
 	}
-	var delay time.Duration
-	if n.faultRNG != nil {
-		if n.dropRate > 0 && n.faultRNG.Float64() < n.dropRate {
-			n.stats.Dropped++
-			n.mu.Unlock()
-			return nil // injected loss: sender sees success, receiver nothing
-		}
-		if n.maxDelay > 0 {
-			delay = time.Duration(n.faultRNG.Float64() * float64(n.maxDelay))
-			n.stats.Delayed++
-		}
+	select {
+	case inbox <- msg:
+		return nil
+	default:
+		return fmt.Errorf("transport: inbox of %q full", msg.To)
 	}
-	if delay == 0 {
-		n.mu.Unlock()
-		select {
-		case inbox <- msg:
-			return nil
-		default:
-			return fmt.Errorf("transport: inbox of %q full", msg.To)
-		}
-	}
-	n.wg.Add(1)
-	n.mu.Unlock()
-	timer := time.AfterFunc(delay, func() {
-		defer n.wg.Done()
-		defer func() {
-			// The inbox may close concurrently with delivery; a send on a
-			// closed channel panics, which we convert to a dropped message —
-			// acceptable during shutdown.
-			_ = recover()
-		}()
-		select {
-		case inbox <- msg:
-		default:
-		}
-	})
-	_ = timer
-	return nil
 }
 
 type memoryEndpoint struct {

@@ -1,9 +1,10 @@
 // Package transport provides the message-passing substrate for the
 // distributed execution of HierAdMo (internal/cluster): a Message format
-// carrying model-sized vectors between named nodes, an in-memory network
-// with failure injection for tests, and a TCP network for running the
-// protocol over real sockets, whose messages travel as bounded, checksummed
-// binary frames (frame.go).
+// carrying model-sized vectors between named nodes, an in-memory network,
+// a TCP network for running the protocol over real sockets, whose messages
+// travel as bounded, checksummed binary frames (frame.go), and a
+// FaultyNetwork wrapper that injects seeded drops, delays and crashes into
+// either.
 //
 // The in-process simulation in internal/fl is the reference semantics; the
 // cluster runtime built on this package must produce bit-identical results
@@ -43,8 +44,8 @@ var (
 )
 
 // Network is the transport factory a protocol runs over; MemoryNetwork,
-// TCPNetwork, and FaultyNetwork all satisfy it (as does cluster.Network,
-// which is structurally identical).
+// TCPNetwork, FaultyNetwork and CountingNetwork all satisfy it, and
+// cluster.Network is an alias of it.
 type Network interface {
 	// Endpoint returns the endpoint for a node ID.
 	Endpoint(id string) (Endpoint, error)
@@ -96,13 +97,13 @@ type TelemetrySetter interface {
 }
 
 // Message is one protocol datagram. Vectors carry model-sized state (models,
-// momenta, gradient accumulators); Scalars carry small metadata such as
-// losses and data weights.
+// momenta, gradient accumulators); Scalars carry small named metadata such
+// as a training loss.
 type Message struct {
 	// From and To are node IDs; the sending endpoint fills From.
 	From string `json:"from"`
 	To   string `json:"to"`
-	// Kind is the protocol message type (e.g. "edge-report").
+	// Kind is the protocol message type (e.g. "tier-report").
 	Kind string `json:"kind"`
 	// Round is the protocol round the message belongs to, for debugging and
 	// ordering assertions.
