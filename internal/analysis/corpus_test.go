@@ -288,6 +288,7 @@ func TestDefaultPolicyTable(t *testing.T) {
 		"(*hieradmo/internal/core.workerState).step",
 		"(*hieradmo/internal/core.HierAdMo).edgeUpdate",
 		"(*hieradmo/internal/cluster.treeLeaf).step",
+		"(*hieradmo/internal/cluster.tierNode).update",
 		"hieradmo/internal/tensor.GEMMBias",
 		"hieradmo/internal/tensor.GEMMAddTransB",
 		"(*hieradmo/internal/nn.Conv2D).Forward",

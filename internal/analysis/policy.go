@@ -124,8 +124,12 @@ func DefaultPolicy(modulePath string) Policy {
 			// steady-state inner loops (slab arenas, PR 7).
 			"(*" + in("internal/core") + ".workerState).step",
 			"(*" + in("internal/core") + ".HierAdMo).edgeUpdate",
-			// The distributed runtime's equivalent.
+			// The distributed runtime's equivalents: the leaf's NAG step and
+			// every tree node's per-round aggregation, which reads received
+			// reports in place and computes its adaptation signals in node
+			// scratch.
 			"(*" + in("internal/cluster") + ".treeLeaf).step",
+			"(*" + in("internal/cluster") + ".tierNode).update",
 			// The GEMM kernels every dense/conv layer reduces to.
 			in("internal/tensor") + ".GEMMBias",
 			in("internal/tensor") + ".GEMMAddTransB",

@@ -82,3 +82,10 @@ func expectKind(msg transport.Message, kind string) error {
 	}
 	return nil
 }
+
+// releaseAll hands every message's payload back to its transport.
+func releaseAll(msgs []transport.Message) {
+	for _, m := range msgs {
+		m.Release()
+	}
+}

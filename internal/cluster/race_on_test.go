@@ -9,3 +9,7 @@ package cluster
 // relationships under test while restoring the timing margin that keeps
 // quorum cohorts — and hence results — deterministic.
 const deadlineScale = 4
+
+// raceEnabled reports a race-detector build, whose instrumentation
+// allocates on its own and so voids allocation budgets.
+const raceEnabled = true

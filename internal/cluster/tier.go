@@ -77,6 +77,28 @@ type tierNode struct {
 	// res and weightedLoss live on the root (res == nil elsewhere).
 	res          *fl.Result
 	weightedLoss float64
+
+	// scratch is per-round working memory, rebuilt every round before use.
+	scratch roundScratch
+}
+
+// roundScratch is a tier node's per-round working memory, grown to the
+// largest cohort and then reused, so steady-state rounds allocate nothing.
+type roundScratch struct {
+	// reports are collect's per-child slots and present the filled ones.
+	reports []transport.Message
+	present []int
+	// weights, the vector views and signals are update's per-report inputs.
+	weights                 []float64
+	ys, xs, gradSums, ySums []tensor.Vector
+	signals                 []tensor.Vector
+	// aggDst, aggRef and aggIn are the robust rule's argument lists.
+	aggDst, aggRef [2]tensor.Vector
+	aggIn          [2][]tensor.Vector
+	// wire and scalars are the outgoing payload lists, reused because a
+	// transport copies a payload before Send returns.
+	wire    [2][]float64
+	scalars map[string]float64
 }
 
 func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 tensor.Vector, ep transport.Endpoint, opts Options) (*tierNode, error) {
@@ -95,6 +117,7 @@ func newTierNode(cfg *fl.Config, hn *fl.Harness, ts *treeSpec, lvl, idx int, x0 
 		lastY:     x0.Clone(),
 		x0:        x0.Clone(),
 		losses:    make(map[int]float64),
+		scratch:   roundScratch{scalars: make(map[string]float64, 1)},
 	}
 	if lvl != ts.leafParent() {
 		fan := len(ts.children[lvl][idx])
@@ -241,10 +264,11 @@ func (n *tierNode) decodeLosses(flat []float64) error {
 // redistribute sends the round-k update to every child; resend marks a
 // resume's repeat of the snapshotted round.
 func (n *tierNode) redistribute(k int, resend bool) error {
+	n.scratch.wire = [2][]float64{n.yMinus, n.xPlus}
 	update := transport.Message{
 		Kind:    KindTierUpdate,
 		Round:   k * n.ts.tau(n.lvl),
-		Vectors: [][]float64{n.yMinus, n.xPlus},
+		Vectors: n.scratch.wire[:],
 	}
 	if n.ts.memb != nil && n.lvl == n.ts.leafParent() {
 		return n.redistributeCohort(k, update, resend)
@@ -302,6 +326,7 @@ func (n *tierNode) run() (*fl.Result, error) {
 			if err := n.update(reports, idx, k); err != nil {
 				return nil, fmt.Errorf("cluster: %s round %d: %w", n.id(), k, err)
 			}
+			releaseAll(reports)
 			if n.lvl > 0 && k%n.ts.topo.SyncsPerParent(n.lvl) == 0 {
 				adopted, err := n.parentSync(k)
 				if err != nil {
@@ -402,6 +427,12 @@ func (n *tierNode) recordEval(t int, acc, loss float64, final bool) {
 // A positive first result is the round of a parent update adopted
 // mid-collect (the parent moved on without this node); the caller
 // fast-forwards to it.
+//
+// Ownership: the leaf-parent's returned reports still own their vectors,
+// and the caller releases them once update has consumed them. Above it each
+// report is released as soon as it is copied into lastYRep/lastXRep, so its
+// slot only marks that the child reported. The returned slices are node
+// scratch, valid until the next collect.
 func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 	children := n.ts.layoutAt(n.lvl, k).children[n.lvl][n.idx]
 	numChildren := len(children)
@@ -415,14 +446,20 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 	if !leafP {
 		grace *= time.Duration(n.ts.tau(n.lvl)/n.ts.tau(n.lvl+1) + 1)
 	}
-	reports := make([]transport.Message, numChildren)
+	sc := &n.scratch
+	if cap(sc.reports) < numChildren {
+		sc.reports = make([]transport.Message, numChildren)
+	}
+	reports := sc.reports[:numChildren]
+	clear(reports)
 	got := 0
-	// report files one child report by round: stale, stashed for a later
-	// collect, or admitted into its slot.
+	// report files one child report by round: stale (and released), stashed
+	// for a later collect (which then owns it), or admitted into its slot.
 	report := func(msg transport.Message) error {
 		switch {
 		case msg.Round < want:
 			n.rec.stale(n.id())
+			msg.Release()
 		case msg.Round > want:
 			if !n.opts.tolerant() {
 				return fmt.Errorf("cluster: report from %q for future round %d (want %d)",
@@ -480,9 +517,14 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 		switch msg.Kind {
 		case KindReassign:
 			err = n.checkReassign(msg)
+			msg.Release()
 		case KindTierUpdate:
 			var adopted int
-			if adopted, err = n.adoptParentUpdate(msg, want); adopted > 0 {
+			adopted, err = n.adoptParentUpdate(msg, want)
+			msg.Release()
+			if adopted > 0 {
+				// The adopted state supersedes this round: its reports go unused.
+				releaseAll(reports)
 				return adopted, nil, nil, err
 			}
 		default:
@@ -494,14 +536,16 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 			return 0, nil, nil, err
 		}
 	}
-	idx := make([]int, 0, got)
+	present := sc.present[:0]
 	for c, msg := range reports {
 		switch {
 		case msg.Vectors != nil:
-			idx = append(idx, c)
+			present = append(present, c)
 			if !leafP {
 				n.missStreak[c] = 0
-				if err := copyState(msg, n.lastYRep[c], n.lastXRep[c]); err != nil {
+				err := copyState(msg, n.lastYRep[c], n.lastXRep[c])
+				msg.Release()
+				if err != nil {
 					return 0, nil, nil, err
 				}
 			}
@@ -512,8 +556,9 @@ func (n *tierNode) collect(k int) (int, []transport.Message, []int, error) {
 			}
 		}
 	}
+	sc.present = present
 	n.rec.missingTier(n.ts.topo.Levels[n.lvl].Name, n.lvl, want, numChildren-got, leafP)
-	return 0, reports, idx, nil
+	return 0, reports, present, nil
 }
 
 // admit validates one current-round child report and slots it by the
@@ -532,6 +577,7 @@ func (n *tierNode) admit(msg transport.Message, children []int, reports []transp
 	if c < 0 {
 		if n.ts.memb != nil && n.lvl == n.ts.leafParent() {
 			n.rec.stale(n.id())
+			msg.Release()
 			return false, nil
 		}
 		return false, fmt.Errorf("cluster: %s got a report from %q, another node's child", n.id(), msg.From)
@@ -542,6 +588,7 @@ func (n *tierNode) admit(msg transport.Message, children []int, reports []transp
 	}
 	if reports[c].Vectors != nil {
 		n.rec.duplicate(n.id())
+		msg.Release()
 		return false, nil
 	}
 	reports[c] = msg
@@ -561,6 +608,14 @@ func (n *tierNode) adoptParentUpdate(msg transport.Message, want int) (int, erro
 	return 0, nil
 }
 
+// growVectors extends vs with zero vectors of length dim until it holds n.
+func growVectors(vs []tensor.Vector, n, dim int) []tensor.Vector {
+	for len(vs) < n {
+		vs = append(vs, tensor.NewVector(dim))
+	}
+	return vs
+}
+
 // copyState adopts the [y, x] payload of a parent update or an aggregator
 // report into y and x.
 func copyState(msg transport.Message, y, x tensor.Vector) error {
@@ -577,7 +632,8 @@ func copyState(msg transport.Message, y, x tensor.Vector) error {
 // noticing a shutdown request within interruptSlice. Past the deadline it
 // returns transport.ErrTimeout — unless rideOut is set and the run is in
 // quorum mode: then it records the timeout and returns nil, and the caller
-// keeps its local state.
+// keeps its local state. handle must copy what it needs out of the message:
+// await releases every message once handle returns.
 func await(ep transport.Endpoint, opts Options, rec *faultRecorder, rideOut bool, handle func(transport.Message) (bool, error)) error {
 	deadline := opts.now().Add(opts.RecvTimeout)
 	for {
@@ -596,7 +652,9 @@ func await(ep transport.Endpoint, opts Options, rec *faultRecorder, rideOut bool
 		if err != nil {
 			return err
 		}
-		if done, err := handle(msg); done || err != nil {
+		done, err := handle(msg)
+		msg.Release()
+		if done || err != nil {
 			return err
 		}
 	}
@@ -615,6 +673,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	lay := n.ts.layoutAt(n.lvl, k)
 	children, full := lay.children[n.lvl][n.idx], lay.weights[n.lvl][n.idx]
 	leafP := n.lvl == n.ts.leafParent()
+	sc := &n.scratch
 	var (
 		weights         []float64
 		ys, xs          []tensor.Vector
@@ -622,10 +681,15 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 		participants    int
 	)
 	if leafP {
-		weights = make([]float64, len(idx))
-		for j, i := range idx {
-			weights[j] = full[i]
+		sc.weights, sc.ys, sc.xs = sc.weights[:0], sc.ys[:0], sc.xs[:0]
+		sc.gradSums, sc.ySums = sc.gradSums[:0], sc.ySums[:0]
+		for _, i := range idx {
+			v := reports[i].Vectors
+			sc.weights = append(sc.weights, full[i])
+			sc.ys, sc.xs = append(sc.ys, v[0]), append(sc.xs, v[1])
+			sc.gradSums, sc.ySums = append(sc.gradSums, v[2]), append(sc.ySums, v[3])
 		}
+		weights, ys, xs, gradSums, ySums = sc.weights, sc.ys, sc.xs, sc.gradSums, sc.ySums
 		// Renormalize only under a partial cohort: at full strength the
 		// data weights are used verbatim, bit-identical to the simulation.
 		if len(idx) < len(full) {
@@ -636,17 +700,6 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 			for j := range weights {
 				weights[j] /= wsum
 			}
-		}
-		ys = make([]tensor.Vector, len(idx))
-		xs = make([]tensor.Vector, len(idx))
-		gradSums = make([]tensor.Vector, len(idx))
-		ySums = make([]tensor.Vector, len(idx))
-		for j, i := range idx {
-			msg := reports[i]
-			ys[j] = msg.Vectors[0]
-			xs[j] = msg.Vectors[1]
-			gradSums[j] = msg.Vectors[2]
-			ySums[j] = msg.Vectors[3]
 		}
 		participants = len(idx)
 	} else {
@@ -659,24 +712,29 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 	var cosVal float64
 	adaptive := n.ts.adapt[n.lvl]
 	if adaptive {
-		signals := make([]tensor.Vector, len(ys))
+		if len(sc.signals) < len(ys) {
+			sc.signals = growVectors(sc.signals, len(ys), len(n.x0))
+		}
+		signals := sc.signals[:len(ys)]
 		if n.opts.Signal == core.SignalVelocity {
 			for j := range ys {
-				v := ys[j].Clone()
-				if err := v.Sub(n.lastY); err != nil {
+				if err := signals[j].CopyFrom(ys[j]); err != nil {
 					return err
 				}
-				signals[j] = v
+				if err := signals[j].Sub(n.lastY); err != nil {
+					return err
+				}
 			}
 		} else {
 			// Σy centred at the shared initialization, matching the
 			// simulation's gauge (see internal/core).
 			for j := range ySums {
-				centered := ySums[j].Clone()
-				if err := centered.AXPY(-float64(n.ts.tau(n.lvl)), n.x0); err != nil {
+				if err := signals[j].CopyFrom(ySums[j]); err != nil {
 					return err
 				}
-				signals[j] = centered
+				if err := signals[j].AXPY(-float64(n.ts.tau(n.lvl)), n.x0); err != nil {
+					return err
+				}
 			}
 		}
 		cos, err := core.EdgeCosine(weights, gradSums, signals)
@@ -703,6 +761,7 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 			case membership.MigrateRescale:
 				gamma *= frac
 			}
+			//flvet:allow allocfree -- cold branch: runs only in the round a cohort changed, to record the migration
 			n.rec.migrated(n.id(), k*n.ts.tau(n.lvl), m.policy.String(), gamma)
 		}
 	}
@@ -759,11 +818,10 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 			}
 			refY, refX = n.prevY, n.prevX
 		}
-		st, err := n.agg.Aggregate(
-			[]tensor.Vector{n.yMinus, n.yPlusNext},
-			[]tensor.Vector{refY, refX},
-			weights,
-			[][]tensor.Vector{ys, xs})
+		sc.aggDst = [2]tensor.Vector{n.yMinus, n.yPlusNext}
+		sc.aggRef = [2]tensor.Vector{refY, refX}
+		sc.aggIn = [2][]tensor.Vector{ys, xs}
+		st, err := n.agg.Aggregate(sc.aggDst[:], sc.aggRef[:], weights, sc.aggIn[:])
 		if err != nil {
 			return fmt.Errorf("cluster: %s robust %s aggregation at round %d: %w",
 				n.id(), n.agg.Name(), k, err)
@@ -819,11 +877,14 @@ func (n *tierNode) update(reports []transport.Message, idx []int, k int) error {
 // fast-forward.
 func (n *tierNode) parentSync(k int) (int, error) {
 	want := k * n.ts.tau(n.lvl)
+	sc := &n.scratch
+	sc.scalars[ScalarLoss] = n.weightedLoss
+	sc.wire = [2][]float64{n.yMinus, n.xPlus}
 	report := transport.Message{
 		Kind:    KindTierReport,
 		Round:   want,
-		Vectors: [][]float64{n.yMinus, n.xPlus},
-		Scalars: map[string]float64{ScalarLoss: n.weightedLoss},
+		Vectors: sc.wire[:],
+		Scalars: sc.scalars,
 	}
 	parent := n.ts.ids[n.lvl-1][n.ts.parent[n.lvl][n.idx]]
 	if err := n.ep.Send(parent, report); err != nil {
@@ -886,7 +947,12 @@ type treeLeaf struct {
 	grad          tensor.Vector //flvet:allow ckptstate -- per-step scratch, overwritten by LossGrad before use
 	// yPrev is per-iteration scratch for the NAG extrapolation,
 	// preallocated so step never clones a model-sized vector.
-	yPrev    tensor.Vector //flvet:allow ckptstate -- per-step scratch, refilled from y before use
+	yPrev tensor.Vector //flvet:allow ckptstate -- per-step scratch, refilled from y before use
+	// batch is the reused mini-batch buffer, and wire and scalars the
+	// report's payload lists (a transport copies them before Send returns).
+	batch    []dataset.Sample
+	wire     [4][]float64       //flvet:allow ckptstate -- per-report scratch, refilled before every send
+	scalars  map[string]float64 //flvet:allow ckptstate -- per-report scratch, refilled before every send
 	lastLoss float64
 	// syncedThrough is the round of the last adopted update. When an update
 	// arrives for a round ahead of this leaf's own iteration count (the
@@ -911,6 +977,7 @@ func newTreeLeaf(cfg *fl.Config, ts *treeSpec, j int, x0 tensor.Vector, ep trans
 		ySum:    tensor.NewVector(len(x0)),
 		grad:    tensor.NewVector(len(x0)),
 		yPrev:   tensor.NewVector(len(x0)),
+		scalars: make(map[string]float64, 1),
 	}
 }
 
@@ -1014,7 +1081,7 @@ func (w *treeLeaf) run() error {
 			}
 			parent = w.ts.ids[lp][p]
 		}
-		vecs := [][]float64{w.y, w.x, w.gradSum, w.ySum}
+		w.wire = [4][]float64{w.y, w.x, w.gradSum, w.ySum}
 		if w.att != nil {
 			// Byzantine boundary: the attack mutates only what goes on the
 			// wire — local training state stays honest (DESIGN.md §14).
@@ -1024,14 +1091,15 @@ func (w *treeLeaf) run() error {
 			}
 			if hit {
 				w.rec.injected(w.id(), t, kind)
-				vecs = [][]float64{mut[0], mut[1], mut[2], mut[3]}
+				w.wire = [4][]float64{mut[0], mut[1], mut[2], mut[3]}
 			}
 		}
+		w.scalars[ScalarLoss] = w.lastLoss
 		report := transport.Message{
 			Kind:    KindTierReport,
 			Round:   t,
-			Vectors: vecs,
-			Scalars: map[string]float64{ScalarLoss: w.lastLoss},
+			Vectors: w.wire[:],
+			Scalars: w.scalars,
 		}
 		if err := w.ep.Send(parent, report); err != nil {
 			return fmt.Errorf("cluster: %s report: %w", w.id(), err)
@@ -1119,10 +1187,11 @@ func (w *treeLeaf) awaitRetire() error {
 
 // step performs one NAG iteration (Algorithm 1 lines 5–6).
 func (w *treeLeaf) step() error {
-	batch, err := w.shard.Batch(w.sampler, w.cfg.BatchSize)
+	batch, err := w.shard.BatchInto(w.sampler, w.cfg.BatchSize, w.batch)
 	if err != nil {
 		return err
 	}
+	w.batch = batch
 	//flvet:allow allocfree -- workspace pool miss only; steady-state gradient calls reuse pooled buffers
 	loss, err := w.cfg.Model.LossGrad(w.x, batch, w.grad)
 	if err != nil {

@@ -2,6 +2,7 @@ package membership
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -304,14 +305,10 @@ func (s *Schedule) Overlap(k, l int) (frac float64, changed bool) {
 	prev := s.Cohort(k-1, l)
 	cur := s.Cohort(k, l)
 	same := len(prev) == len(cur)
-	inPrev := make(map[Ref]bool, len(prev))
-	for _, r := range prev {
-		inPrev[r] = true
-	}
 	kept, total := 0.0, 0.0
 	for _, r := range cur {
 		total += s.weight[r]
-		if inPrev[r] {
+		if slices.Contains(prev, r) {
 			kept += s.weight[r]
 		} else {
 			same = false

@@ -128,10 +128,11 @@ func appendStr(b []byte, s string) []byte {
 }
 
 // frameReader reads frames off one connection into a buffer reused across
-// frames.
+// frames, and decodes each into a slab from pool (fresh slabs when nil).
 type frameReader struct {
-	r   *bufio.Reader
-	buf []byte
+	r    *bufio.Reader
+	buf  []byte
+	pool *slabPool
 }
 
 // next reads and decodes one frame. It returns io.EOF on a clean close at
@@ -171,13 +172,18 @@ func (fr *frameReader) next() (Message, error) {
 			return Message{}, err
 		}
 	}
-	return decodeFrame(fr.buf)
+	return fr.pool.decode(fr.buf)
 }
 
-// decodeFrame decodes one complete frame, length prefix included. The
-// returned message owns its memory: all its vectors slice one fresh slab
-// and nothing aliases frame.
-func decodeFrame(frame []byte) (Message, error) {
+// decodeFrame decodes one complete frame, length prefix included, into
+// fresh memory that no pool owns.
+func decodeFrame(frame []byte) (Message, error) { return decodeFrameInto(frame, new(slab)) }
+
+// decodeFrameInto decodes one complete frame, length prefix included, into
+// s: all the message's vectors slice s's floats, capacity-clipped, and
+// nothing aliases frame. s may hold an earlier message's memory; every
+// value the result exposes is overwritten.
+func decodeFrameInto(frame []byte, s *slab) (Message, error) {
 	if len(frame) < 4 {
 		return Message{}, fmt.Errorf("%w: truncated length prefix", ErrBadFrame)
 	}
@@ -208,14 +214,14 @@ func decodeFrame(frame []byte) (Message, error) {
 	// bounded by the bytes left; the slab by the bytes left over eight.
 	nvec := d.count(maxFrameVectors, 1)
 	if nvec > 0 {
-		m.Vectors = make([][]float64, nvec)
-		slab := make([]float64, 0, len(d.b)/8)
+		m.Vectors = s.headers(nvec)
+		data := s.floats(len(d.b) / 8)
 		for i := range m.Vectors {
 			raw := d.take(8 * d.count(maxFrameBytes/8, 8))
-			// raw came out of the bytes the slab was sized by, so it fits.
-			off := len(slab)
-			slab = slab[:off+len(raw)/8]
-			v := slab[off:len(slab):len(slab)]
+			// raw came out of the bytes the floats were sized by, so it fits.
+			off := len(data)
+			data = data[:off+len(raw)/8]
+			v := data[off:len(data):len(data)]
 			for j := range v {
 				v[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
 			}
@@ -225,7 +231,7 @@ func decodeFrame(frame []byte) (Message, error) {
 
 	nsc := d.count(maxFrameScalars, 9)
 	if nsc > 0 {
-		m.Scalars = make(map[string]float64, nsc)
+		m.Scalars = s.scalarMap()
 		prev := ""
 		for i := 0; i < nsc && d.err == nil; i++ {
 			k := d.str()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -15,9 +16,19 @@ import (
 // fuzzer reaches the field parser past the checksum). Every input must
 // yield a message or an error wrapping ErrBadFrame (io.EOF for an empty
 // stream), never a panic. A frame that decodes must re-encode to the same
-// bytes, since the layout admits one frame per message.
+// bytes, since the layout admits one frame per message. Each frame is also
+// decoded twice through one slab pool whose slab first held another
+// message: both results must match the fresh decode bit for bit, so nothing
+// of a recycled slab leaks into a message.
 func FuzzDecodeFrame(f *testing.F) {
 	var w frameWriter
+	poison, err := w.encode(&Message{Kind: "poison", Vectors: [][]float64{
+		{math.NaN(), -1, 2, 3, 4}, {5, 6, 7}, {math.Inf(1)}},
+		Scalars: map[string]float64{"a": 1, "loss": 2, "z": 3}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	poison = append([]byte(nil), poison...)
 	for _, m := range []Message{
 		{},
 		{Kind: "edge-report", From: "edge-0", To: "cloud", Round: 20,
@@ -36,6 +47,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, frame := range [][]byte{data, reframe(data)} {
 			m, err := decodeFrame(frame)
+			var pool slabPool
+			held, perr := pool.decode(poison)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			held.Release()
+			for i := 0; i < 2; i++ {
+				pm, perr := pool.decode(frame)
+				if fmt.Sprint(perr) != fmt.Sprint(err) || (err == nil && !sameMessage(pm, m)) {
+					t.Fatalf("pooled decode %d: %+v, %v; fresh decode: %+v, %v", i, pm, perr, m, err)
+				}
+				pm.Release()
+			}
 			if err != nil {
 				if !errors.Is(err, ErrBadFrame) {
 					t.Fatalf("decode error %v does not wrap ErrBadFrame", err)

@@ -16,7 +16,12 @@ const inboxSize = 64
 // MemoryNetwork is an in-process hub connecting named endpoints through
 // buffered channels. It injects no faults; wrap it in a FaultyNetwork for
 // drops, delays and crashes.
+//
+// Send copies the payload once, into a slab from the network's free list,
+// since the sender keeps mutating its own buffers; the receiver's Release
+// returns the slab for the next Send.
 type MemoryNetwork struct {
+	slabs   slabPool
 	mu      sync.Mutex
 	inboxes map[string]chan Message
 	// claimed tracks node IDs with a live endpoint; a second Endpoint call
@@ -88,8 +93,9 @@ func (n *MemoryNetwork) deliver(msg Message) error {
 }
 
 type memoryEndpoint struct {
-	net *MemoryNetwork
-	id  string
+	net   *MemoryNetwork
+	id    string
+	timer timerSlot
 	// released makes Close idempotent: only the first call gives the ID
 	// claim back (a second endpoint may hold it by then).
 	released bool
@@ -100,10 +106,14 @@ var _ Endpoint = (*memoryEndpoint)(nil)
 func (e *memoryEndpoint) ID() string { return e.id }
 
 func (e *memoryEndpoint) Send(to string, msg Message) error {
-	m := msg.Clone()
+	m := e.net.slabs.copyOf(msg)
 	m.From = e.id
 	m.To = to
-	return e.net.deliver(m)
+	if err := e.net.deliver(m); err != nil {
+		m.Release()
+		return err
+	}
+	return nil
 }
 
 func (e *memoryEndpoint) inbox() (chan Message, error) {
@@ -136,15 +146,16 @@ func (e *memoryEndpoint) RecvTimeout(d time.Duration) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timer := e.timer.take(d)
 	select {
 	case msg, ok := <-ch:
+		e.timer.put(timer, false)
 		if !ok {
 			return Message{}, ErrClosed
 		}
 		return msg, nil
 	case <-timer.C:
+		e.timer.put(timer, true)
 		return Message{}, fmt.Errorf("%w: %q after %v", ErrTimeout, e.id, d)
 	}
 }

@@ -128,6 +128,10 @@ type tcpEndpoint struct {
 	inbox  chan Message
 	closed chan struct{}
 	once   sync.Once
+	// slabs recycles the memory of decoded messages: the read loops decode
+	// into its slabs and receivers' Release calls return them.
+	slabs slabPool
+	timer timerSlot
 	//flvet:allow goexec -- transport-internal lifecycle tracking for accept/read loops; Close waits for them, no training data order depends on it
 	wg sync.WaitGroup
 
@@ -173,7 +177,7 @@ func (e *tcpEndpoint) readLoop(conn net.Conn) {
 		delete(e.accepted, conn)
 		e.connMu.Unlock()
 	}()
-	fr := frameReader{r: bufio.NewReader(conn)}
+	fr := frameReader{r: bufio.NewReader(conn), pool: &e.slabs}
 	for {
 		msg, err := fr.next()
 		if err != nil {
@@ -314,14 +318,22 @@ func (e *tcpEndpoint) Recv() (Message, error) {
 }
 
 func (e *tcpEndpoint) RecvTimeout(d time.Duration) (Message, error) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timer := e.timer.take(d)
 	select {
 	case msg := <-e.inbox:
+		e.timer.put(timer, false)
 		return msg, nil
 	case <-e.closed:
-		return Message{}, ErrClosed
+		e.timer.put(timer, false)
+		// Like Recv, drain anything already queued before reporting closure.
+		select {
+		case msg := <-e.inbox:
+			return msg, nil
+		default:
+			return Message{}, ErrClosed
+		}
 	case <-timer.C:
+		e.timer.put(timer, true)
 		return Message{}, fmt.Errorf("%w: %q after %v", ErrTimeout, e.id, d)
 	}
 }

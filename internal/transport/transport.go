@@ -13,6 +13,7 @@ package transport
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"hieradmo/internal/telemetry"
@@ -99,6 +100,12 @@ type TelemetrySetter interface {
 // Message is one protocol datagram. Vectors carry model-sized state (models,
 // momenta, gradient accumulators); Scalars carry small named metadata such
 // as a training loss.
+//
+// Ownership: Send never aliases the sender's buffers, so the sender may
+// reuse its vectors as soon as Send returns. A received message owns its
+// Vectors and Scalars until the receiver calls Release, which hands that
+// memory back to the transport for a later message. A message that is never
+// released is garbage-collected; forgetting Release costs only speed.
 type Message struct {
 	// From and To are node IDs; the sending endpoint fills From.
 	From string `json:"from"`
@@ -112,12 +119,17 @@ type Message struct {
 	Vectors [][]float64 `json:"vectors"`
 	// Scalars is small named metadata.
 	Scalars map[string]float64 `json:"scalars"`
+
+	// h is the pooled slab behind Vectors and Scalars of a delivered
+	// message; it travels with the value through wrapping endpoints.
+	h handle
 }
 
-// Clone deep-copies the message so transports can deliver without aliasing
-// the sender's buffers.
+// Clone deep-copies the message into fresh memory that no pool owns, so the
+// copy outlives a Release of the original.
 func (m Message) Clone() Message {
 	out := m
+	out.h = handle{}
 	out.Vectors = make([][]float64, len(m.Vectors))
 	for i, v := range m.Vectors {
 		out.Vectors[i] = append([]float64(nil), v...)
@@ -131,19 +143,64 @@ func (m Message) Clone() Message {
 	return out
 }
 
-// Endpoint is one node's handle on a network.
+// Release hands the message's Vectors and Scalars back to the transport
+// that delivered it, which may reuse them for a later message at once:
+// afterwards nothing may touch them or any slice of them. Only the first
+// Release of a delivery recycles. A second Release, a Release of a copy of
+// a released message, and a Release of a message no transport delivered
+// (or of a Clone) do nothing.
+func (m Message) Release() {
+	s := m.h.s
+	if s == nil || s.pool == nil || !s.gen.CompareAndSwap(m.h.gen, m.h.gen+1) {
+		return
+	}
+	s.pool.put(s)
+}
+
+// Endpoint is one node's handle on a network. One goroutine receives on an
+// endpoint, which is how the cluster uses it: each receive reuses the
+// endpoint's timer, and a concurrent receiver stays correct but makes a
+// timer of its own.
 type Endpoint interface {
 	// ID returns the node's name.
 	ID() string
-	// Send delivers msg to the named node. The transport fills From/To.
+	// Send delivers msg to the named node. The transport fills From/To and
+	// copies the payload before Send returns; the receiver never sees the
+	// caller's buffers.
 	Send(to string, msg Message) error
-	// Recv blocks until a message arrives or the endpoint closes.
+	// Recv blocks until a message arrives or the endpoint closes. The
+	// caller owns the message until it calls msg.Release.
 	Recv() (Message, error)
 	// RecvTimeout is Recv with a deadline; it returns ErrTimeout when no
 	// message arrives in time (the failure-detection primitive the cluster
 	// protocol uses).
 	RecvTimeout(d time.Duration) (Message, error)
 	// Close releases the endpoint; pending and future Recv calls return
-	// ErrClosed.
+	// ErrClosed once the queued messages are drained.
 	Close() error
+}
+
+// timerSlot keeps one stopped, drained timer for an endpoint's receive
+// deadlines. A receive takes it for one wait and puts it back; when a
+// concurrent receiver holds it, take makes a fresh timer instead.
+type timerSlot struct{ p atomic.Pointer[time.Timer] }
+
+func (s *timerSlot) take(d time.Duration) *time.Timer {
+	if t := s.p.Swap(nil); t != nil {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// put stops t and keeps it for the next receive; fired says the receiver
+// took t's value. Under the timer semantics of go.mod's go 1.22 line, Stop
+// leaves a value the timer already sent in its channel, so an unread value
+// is drained here, or the next wait would time out at once. (Under the
+// go 1.23 semantics Stop itself discards it and returns true.)
+func (s *timerSlot) put(t *time.Timer, fired bool) {
+	if !t.Stop() && !fired {
+		<-t.C
+	}
+	s.p.Store(t)
 }
